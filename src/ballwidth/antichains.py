@@ -104,66 +104,117 @@ def min_chain_partition(
     return ChainPartition(tuple(tuple(c) for c in chains))
 
 
-def _first_chain_step(adjacency: list[list[int]], start: int) -> list[int]:
-    path = [start]
-    while adjacency[path[-1]]:
-        path.append(adjacency[path[-1]][0])
-    return path
+def _chain_start(
+    instance: PosetInstance, weights: list[int]
+) -> tuple[list[int], list[list[int]]]:
+    """A feasible flow along first-cover chains, in `_min_flow`'s start form.
+
+    Each element's demand runs down to a minimal element and up to a
+    maximal one.  The routes are summed height by height, so no arc is
+    ever keyed: `down[x]` is what reaches x along its first lower cover,
+    `up[x]` what leaves x along its first upper cover.
+    """
+    covers = instance.covers
+    lowers = instance.lower_covers()
+    order = sorted(range(len(instance)), key=instance.height_of.__getitem__)
+    down = list(weights)
+    for x in reversed(order):
+        if lowers[x]:
+            down[lowers[x][0]] += down[x]
+    up = list(weights)
+    for x in order:
+        if covers[x]:
+            up[covers[x][0]] += up[x]
+    through = [d + u - w for d, u, w in zip(down, up, weights)]
+    cover_flow = [
+        [
+            (up[x] if k == 0 else 0) + (down[y] if lowers[y][0] == x else 0)
+            for k, y in enumerate(ys)
+        ]
+        for x, ys in enumerate(covers)
+    ]
+    return through, cover_flow
 
 
-def _min_flow(instance: PosetInstance, weights: list[int]):
+def _check_start(
+    instance: PosetInstance,
+    weights: list[int],
+    through: list[int],
+    cover_flow: list[list[int]],
+) -> None:
+    """Raise unless the start conserves flow and meets every lower bound."""
+    covers = instance.covers
+    lowers = instance.lower_covers()
+    inflow = [0] * len(instance)
+    for x, ys in enumerate(covers):
+        flows = cover_flow[x]
+        if len(flows) != len(ys) or min(flows, default=0) < 0:
+            raise InternalConsistencyError(f"starting flow is malformed at element {x}")
+        if ys and sum(flows) != through[x]:
+            raise InternalConsistencyError(
+                f"starting flow leaves element {x} with {sum(flows)} units, "
+                f"not its throughput {through[x]}"
+            )
+        for y, f in zip(ys, flows):
+            inflow[y] += f
+    for x, w in enumerate(weights):
+        if lowers[x] and inflow[x] != through[x]:
+            raise InternalConsistencyError(
+                f"starting flow brings {inflow[x]} units into element {x}, "
+                f"not its throughput {through[x]}"
+            )
+        if through[x] < w:
+            raise InternalConsistencyError(
+                f"starting flow carries {through[x]} units through element {x}, "
+                f"below its weight {w}"
+            )
+
+
+def _min_flow(
+    instance: PosetInstance,
+    weights: list[int],
+    start: tuple[list[int], list[list[int]]] | None = None,
+):
     """Minimum flow meeting per-element lower bounds `weights`.
 
-    Returns (value, network, node_slots) with the network left in its
-    final residual state so callers can read cut sides off it.
+    `start` is a feasible flow to cancel from: the units through each
+    element, and the units along each of its upper covers, parallel to
+    `instance.covers`.  Minimal elements draw their throughput from the
+    source, maximal ones send it to the sink.  Without one the first-cover
+    chain start is used.  Any start is checked before use; one that breaks
+    conservation or a lower bound raises InternalConsistencyError.
+
+    Returns (value, network) with the network left in its final residual
+    state so callers can read cut sides off it.
     """
     n = len(instance)
     covers = instance.covers
     lowers = instance.lower_covers()
     s, t = 2 * n, 2 * n + 1
+    through, cover_flow = start if start is not None else _chain_start(instance, weights)
+    del start
+    _check_start(instance, weights, through, cover_flow)
+    total = sum(f for x, f in enumerate(through) if not lowers[x])
 
-    # start from a feasible flow: push each element's demand down to a
-    # minimal element and up to a maximal one along first-cover chains
-    arc_flow: dict[tuple[int, int], int] = {}
-    total = 0
-    for x in range(n):
-        wx = weights[x]
-        if wx == 0:
-            continue
-        total += wx
-        down = _first_chain_step(lowers, x)
-        up = _first_chain_step(covers, x)
-        nodes = down[::-1] + up[1:]  # minimal .. x .. maximal
-        route = [(s, 2 * nodes[0])]
-        for a, b in zip(nodes, nodes[1:]):
-            route.append((2 * a, 2 * a + 1))
-            route.append((2 * a + 1, 2 * b))
-        route.append((2 * nodes[-1], 2 * nodes[-1] + 1))
-        route.append((2 * nodes[-1] + 1, t))
-        for arc in route:
-            arc_flow[arc] = arc_flow.get(arc, 0) + wx
-
-    inf = 4 * total + 8
+    inf = 4 * max(total, sum(weights)) + 8
     net = FlowNetwork(2 * n + 2)
-    node_slots: list[int] = []
     for x in range(n):
-        f = arc_flow.get((2 * x, 2 * x + 1), 0)
-        node_slots.append(net.add_pair(2 * x, 2 * x + 1, inf - f, f - weights[x]))
+        f = through[x]
+        net.add_pair(2 * x, 2 * x + 1, inf - f, f - weights[x])
     for x in range(n):
-        for y in covers[x]:
-            f = arc_flow.get((2 * x + 1, 2 * y), 0)
+        for y, f in zip(covers[x], cover_flow[x]):
             net.add_pair(2 * x + 1, 2 * y, inf - f, f)
+    del cover_flow
     for x in range(n):
+        f = through[x]
         if not lowers[x]:
-            f = arc_flow.get((s, 2 * x), 0)
             net.add_pair(s, 2 * x, inf - f, f)
         if not covers[x]:
-            f = arc_flow.get((2 * x + 1, t), 0)
             net.add_pair(2 * x + 1, t, inf - f, f)
 
     # cancelling flow from t back to s minimises the total
     value = total - net.max_flow(t, s)
-    return value, net, node_slots
+    return value, net
 
 
 def _cut_antichains(
@@ -185,6 +236,18 @@ def _cut_antichains(
     return from_t, from_s
 
 
+def _heaviest_from(
+    instance: PosetInstance, weights: list[int], value: int, net: FlowNetwork
+) -> AntichainWitness:
+    """The cut witness of a finished min-flow, checked against its value."""
+    members, _ = _cut_antichains(net, len(instance), weights)
+    if sum(weights[x] for x in members) != value or not instance.is_antichain(members):
+        raise InternalConsistencyError(
+            f"flow value {value} does not match its own cut witness"
+        )
+    return AntichainWitness(tuple(members))
+
+
 def max_weight_antichain(
     instance: PosetInstance, weights: list[int]
 ) -> tuple[int, AntichainWitness]:
@@ -197,13 +260,8 @@ def max_weight_antichain(
     if n == 0:
         return 0, AntichainWitness(())
 
-    value, net, _ = _min_flow(instance, weights)
-    members, _ = _cut_antichains(net, n, weights)
-    if sum(weights[x] for x in members) != value or not instance.is_antichain(members):
-        raise InternalConsistencyError(
-            f"flow value {value} does not match its own cut witness"
-        )
-    return value, AntichainWitness(tuple(members))
+    value, net = _min_flow(instance, weights)
+    return value, _heaviest_from(instance, weights, value, net)
 
 
 def _unit_extremes(instance: PosetInstance) -> tuple[int, list[int], list[int]]:
@@ -211,7 +269,7 @@ def _unit_extremes(instance: PosetInstance) -> tuple[int, list[int], list[int]]:
     if "unit" not in cache:
         n = len(instance)
         weights = [1] * n
-        value, net, _ = _min_flow(instance, weights)
+        value, net = _min_flow(instance, weights)
         from_t, from_s = _cut_antichains(net, n, weights)
         for members in (from_t, from_s):
             if len(members) != value or not instance.is_antichain(members):
@@ -226,22 +284,84 @@ def flow_width(instance: PosetInstance) -> tuple[int, AntichainWitness]:
     return value, AntichainWitness(tuple(from_t))
 
 
+def _level_pair_start(
+    instance: PosetInstance, layers: list[list[int]], weights: list[int], scale: int
+) -> tuple[list[int], list[list[int]]] | None:
+    """A minimum flow glued from one transport per pair of adjacent layers.
+
+    Each transport sends `weights[x]` from every x in layer h along its
+    covers to absorb `weights[y]` at every y in layer h + 1.  When every
+    cover climbs exactly one layer, only top elements are maximal and every
+    transport moves all `scale` units, the transports agree on each
+    element's throughput, `weights[x]`, and so glue into one flow of value
+    `scale`.  A full layer weighs `scale` too, so that flow is minimum.
+    Returns None whenever a hypothesis or a transport fails.
+    """
+    covers = instance.covers
+    height_of = instance.height_of
+    top = len(layers) - 1
+    if top == 0:
+        return None
+    for x, ys in enumerate(covers):
+        h = height_of[x]
+        if not ys and h < top:
+            return None
+        if any(height_of[y] != h + 1 for y in ys):
+            return None
+
+    cover_flow: list[list[int]] = [[] for _ in covers]
+    local = [0] * len(instance)
+    for lower, upper in zip(layers, layers[1:]):
+        base = 2 + len(lower)
+        for j, y in enumerate(upper):
+            local[y] = base + j
+        net = FlowNetwork(base + len(upper))
+        for i, x in enumerate(lower):
+            net.add_edge(0, 2 + i, weights[x])
+        slots = [
+            [net.add_edge(2 + i, local[y], weights[x]) for y in covers[x]]
+            for i, x in enumerate(lower)
+        ]
+        for j, y in enumerate(upper):
+            net.add_edge(base + j, 1, weights[y])
+        if net.max_flow(0, 1) != scale:
+            return None
+        for x, xs in zip(lower, slots):
+            cover_flow[x] = [net.flow_on(e) for e in xs]
+    return list(weights), cover_flow
+
+
 def check_klym(instance: PosetInstance) -> KlymVerdict:
     """Does every antichain satisfy sum of 1/|level| <= 1?
 
     Levels are the height layers.  Scaling each element by
     lcm(level sizes)/|its level| turns the question into an integer
-    antichain weight bound.
+    antichain weight bound: the heaviest antichain, read off a minimum
+    flow with those weights as lower bounds, must weigh at most the scale.
+
+    Level-pair reduction (after Kleitman, 1974): in a graded poset whose
+    covers all join consecutive heights, the bound holds exactly when each
+    pair of adjacent levels has the normalized matching property, i.e. a
+    transport of every lower element's weight onto the upper level's
+    weights along covers.  Those transports glue into a minimum flow, so
+    the min-flow starts at its optimum and its cancel phase does no work.
+    If a cover skips a level, an element below the top is maximal, there
+    is a single level, or a transport falls short (the bound fails), the
+    min-flow starts from first-cover chains instead and finds the heaviest
+    antichain itself.  Both routes yield the same extreme-cut witness.
     """
     n = len(instance)
     if n == 0:
         raise ValueError("the empty poset has no levels")
-    layer_size: dict[int, int] = {}
-    for h in instance.height_of:
-        layer_size[h] = layer_size.get(h, 0) + 1
-    scale = lcm(*layer_size.values())
-    weights = [scale // layer_size[instance.height_of[x]] for x in range(n)]
-    value, witness = max_weight_antichain(instance, weights)
+    layers: list[list[int]] = [[] for _ in range(max(instance.height_of) + 1)]
+    for x, h in enumerate(instance.height_of):
+        layers[h].append(x)
+    scale = lcm(*map(len, layers))
+    weights = [scale // len(layers[h]) for h in instance.height_of]
+    value, net = _min_flow(
+        instance, weights, _level_pair_start(instance, layers, weights, scale)
+    )
+    witness = _heaviest_from(instance, weights, value, net)
     return KlymVerdict(value <= scale, Fraction(value, scale), witness)
 
 

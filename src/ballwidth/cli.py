@@ -59,12 +59,16 @@ def _params(args: argparse.Namespace) -> GroundParams:
     return GroundParams(args.p, args.q, args.r)
 
 
+def _element_budget(args: argparse.Namespace) -> int:
+    return args.budget if args.budget is not None else DEFAULT_ELEMENT_BUDGET
+
+
 def _instance_from_args(args: argparse.Namespace, sphere: bool = False):
     """Poset selected on the command line: a ball, a sphere, or a file."""
-    budget = args.budget if args.budget is not None else DEFAULT_ELEMENT_BUDGET
+    budget = _element_budget(args)
     if args.custom_poset is not None:
         document = json.loads(Path(args.custom_poset).read_text())
-        return load_custom_poset(document), None
+        return load_custom_poset(document, budget), None
     if args.p is None or args.q is None or args.r is None:
         raise ValueError("need either -p/-q/-r or --custom-poset")
     params = _params(args)
@@ -181,20 +185,14 @@ def _run_certify(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    element_budget = (
-        args.budget if args.budget is not None else DEFAULT_ELEMENT_BUDGET
-    )
-    matching_budget = (
-        args.budget if args.budget is not None else DEFAULT_MATCHING_BUDGET
-    )
     records, summary = sweep_range(
         args.p_max,
         args.q_max,
         r_max=args.r_max,
         n_max=args.n_max,
         general=args.general,
-        element_budget=element_budget,
-        matching_budget=matching_budget,
+        element_budget=_element_budget(args),
+        matching_budget=_matching_budget(args),
         out_path=args.out,
         resume=args.resume,
         jobs=args.jobs,
@@ -279,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_pqr(klym, required=False)
     klym.add_argument("--custom-poset", help="JSON file with elements/relations")
-    klym.add_argument("--budget", type=int, help="size cap for build and matching")
+    klym.add_argument("--budget", type=int, help="size cap for the poset build")
     klym.add_argument("--format", choices=("json", "text"), default="text")
     klym.add_argument("--out")
     klym.set_defaults(run=_run_klym)

@@ -331,11 +331,14 @@ def build_sphere_band(
     return _build_family(params, SphereBand(lo, hi), element_budget)
 
 
-def load_custom_poset(document: object) -> PosetInstance:
+def load_custom_poset(
+    document: object, element_budget: int = DEFAULT_ELEMENT_BUDGET
+) -> PosetInstance:
     """Build a poset from {"elements": n, "relations": [[u, v], ...]}.
 
     Each pair asserts u strictly below v; the order is the transitive
-    closure of the pairs and must be acyclic.
+    closure of the pairs and must be acyclic.  The element count is held
+    to the budget before the cubic closure starts.
     """
     if not isinstance(document, dict):
         raise CustomPosetError("document must be an object with elements/relations")
@@ -345,6 +348,8 @@ def load_custom_poset(document: object) -> PosetInstance:
         raise CustomPosetError("missing element count") from None
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise CustomPosetError(f"element count must be a natural number, got {n!r}")
+    if n > element_budget:
+        raise BudgetExceededError(n, element_budget)
     relations = document.get("relations", [])
     if not isinstance(relations, list):
         raise CustomPosetError("relations must be a list of [below, above] pairs")

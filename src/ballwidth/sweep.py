@@ -14,6 +14,7 @@ never take part in comparisons or canonical reports.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -217,8 +218,11 @@ def sweep_range(
 
     With out_path, each record is appended to the JSON-lines file as soon
     as it exists; with resume, tuples already in that file are kept as-is
-    and skipped.
+    and skipped.  `jobs` must be at least 1; the pool never outnumbers the
+    CPUs or the tuples left to verify.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     wanted = sweep_tuples(p_max, q_max, r_max, n_max, general)
     done: dict[tuple[int, int, int], SweepRecord] = {}
     path = Path(out_path) if out_path is not None else None
@@ -229,8 +233,9 @@ def sweep_range(
     handle = path.open("a") if path is not None else None
     try:
         work = [(p, q, r, element_budget, matching_budget) for p, q, r in todo]
-        if jobs > 1 and len(work) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, os.cpu_count() or 1, len(work))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = pool.map(_verify_args, work)
                 for record in results:
                     done[record.key()] = record

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ballwidth.antichains as antichains_module
 from ballwidth import (
     BudgetExceededError,
+    InternalConsistencyError,
     GroundParams,
     build_ball,
     build_sphere,
@@ -20,6 +22,8 @@ from ballwidth import (
     unique_by_definition,
     width,
 )
+from ballwidth.flows import FlowNetwork
+from ballwidth.sweep import sweep_tuples
 
 from helpers import (
     brute_all_max_antichains,
@@ -203,3 +207,127 @@ class TestGuards:
         assert not verdict.holds
         assert verdict.max_lym_sum == Fraction(3, 2)
         assert set(verdict.witness.members) == {1, 2}
+
+
+def klym_both_routes(instance):
+    """(level-pair verdict, forced-fallback verdict, level-pair start used?)"""
+    real = antichains_module._level_pair_start
+    used = []
+
+    def spy(*args):
+        start = real(*args)
+        used.append(start is not None)
+        return start
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(antichains_module, "_level_pair_start", spy)
+        warm = check_klym(instance)
+        mp.setattr(antichains_module, "_level_pair_start", lambda *args: None)
+        cold = check_klym(instance)
+    return warm, cold, used == [True]
+
+
+def domain_spheres():
+    seen = set()
+    for p, q, r in sweep_tuples(11, 11, n_max=12):
+        for m in range(r + 1):
+            if (p, q, m) not in seen:
+                seen.add((p, q, m))
+                yield p, q, m
+
+
+# the failing custom posets, two non-graded ones and a single layer
+FALLBACK_POSETS = {
+    "chain+point": ({"elements": 3, "relations": [[0, 1]]}, Fraction(3, 2)),
+    "two chains+point": (
+        {"elements": 5, "relations": [[0, 1], [2, 3]]},
+        Fraction(4, 3),
+    ),
+    "maximal below top": (
+        {"elements": 4, "relations": [[0, 1], [1, 2], [0, 3]]},
+        Fraction(3, 2),
+    ),
+    "cover skips a level": (
+        {"elements": 4, "relations": [[0, 1], [1, 2], [3, 2]]},
+        Fraction(3, 2),
+    ),
+    "single layer": ({"elements": 4}, Fraction(1)),
+}
+
+
+class TestLevelPairStart:
+    def test_domain_spheres_match_the_fallback(self):
+        spheres = list(domain_spheres())
+        assert len(spheres) == 161 + 66  # m = 1..r, plus m = 0 once per (p, q)
+        for p, q, m in spheres:
+            instance = build_sphere(GroundParams(p, q, m), m)
+            warm, cold, used = klym_both_routes(instance)
+            assert warm == cold, (p, q, m)
+            # a single layer (m = 0) always takes the fallback
+            assert used == (warm.holds and m > 0), (p, q, m)
+
+    @pytest.mark.parametrize("name", list(FALLBACK_POSETS))
+    def test_custom_posets_take_the_fallback(self, name):
+        document, expect = FALLBACK_POSETS[name]
+        warm, cold, used = klym_both_routes(load_custom_poset(document))
+        assert not used
+        assert warm == cold
+        assert warm.max_lym_sum == expect
+        assert warm.holds == (expect <= 1)
+
+    def test_cancel_phase_makes_no_augmentation(self, monkeypatch):
+        instance = build_sphere(GroundParams(6, 6, 3), 3)
+        sink = 2 * len(instance) + 1
+        real_max_flow, real_augment = FlowNetwork.max_flow, FlowNetwork._augment
+        calls = []  # [source, augmentations, value] per max_flow call
+
+        def augment(self, s, t, cursor):
+            calls[-1][1] += 1
+            return real_augment(self, s, t, cursor)
+
+        def max_flow(self, s, t):
+            calls.append([s, 0])
+            calls[-1].append(real_max_flow(self, s, t))
+            return calls[-1][2]
+
+        monkeypatch.setattr(FlowNetwork, "_augment", augment)
+        monkeypatch.setattr(FlowNetwork, "max_flow", max_flow)
+        assert check_klym(instance).holds
+        cancels = [c for c in calls if c[0] == sink]
+        assert cancels == [[sink, 0, 0]]
+        assert len(calls) == 1 + max(instance.height_of)  # one per level pair
+
+    def test_broken_start_raises(self):
+        instance = build_sphere(GroundParams(3, 3, 2), 2)
+        captured = []
+        real = antichains_module._level_pair_start
+
+        def spy(instance, layers, weights, scale):
+            start = real(instance, layers, weights, scale)
+            captured.append((weights, start))
+            return start
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(antichains_module, "_level_pair_start", spy)
+            check_klym(instance)
+        weights, (through, cover_flow) = captured[0]
+        x = next(x for x, ys in enumerate(instance.covers) if ys)
+        broken = [list(flows) for flows in cover_flow]
+        broken[x][0] += 1
+        with pytest.raises(InternalConsistencyError):
+            antichains_module._min_flow(instance, weights, (through, broken))
+        short = list(through)
+        short[x] -= 1  # below its weight, and no longer conserved
+        with pytest.raises(InternalConsistencyError):
+            antichains_module._min_flow(instance, weights, (short, cover_flow))
+
+    def test_chain_start_off_by_one_raises(self):
+        instance = build_ball(GroundParams(2, 3, 2))
+        weights = [1] * len(instance)
+        through, cover_flow = antichains_module._chain_start(instance, weights)
+        y = next(y for y, xs in enumerate(instance.lower_covers()) if xs)
+        x = instance.lower_covers()[y][0]
+        k = instance.covers[x].index(y)
+        cover_flow[x][k] -= 1
+        with pytest.raises(InternalConsistencyError):
+            antichains_module._min_flow(instance, weights, (through, cover_flow))

@@ -79,6 +79,13 @@ class TestWidth:
         rc, _, err = run(["width", "-p", "2", "-q", "3", "-r", "2", "--budget", "3"], capsys)
         assert rc == 2 and "budget exceeded" in err
 
+    def test_budget_bounds_custom_poset_before_closure(self, capsys, tmp_path):
+        # a cycle is only found by the closure, so the budget must speak first
+        doc = tmp_path / "cycle.json"
+        doc.write_text(json.dumps({"elements": 3, "relations": [[0, 1], [1, 2], [2, 0]]}))
+        rc, _, err = run(["width", "--custom-poset", str(doc), "--budget", "2"], capsys)
+        assert rc == 2 and "budget exceeded" in err
+
 
 class TestKlym:
     def test_sphere_json(self, capsys):
@@ -101,6 +108,16 @@ class TestKlym:
         rc, out, _ = run(["klym", "--custom-poset", str(doc)], capsys)
         assert rc == 0
         assert out == "normalized antichain bound FAILS: max sum 3/2\n"
+
+    def test_budget_bounds_custom_poset(self, capsys, tmp_path):
+        doc = tmp_path / "poset.json"
+        doc.write_text(json.dumps({"elements": 5, "relations": [[0, 1]]}))
+        rc, out, err = run(["klym", "--custom-poset", str(doc), "--budget", "2"], capsys)
+        assert rc == 2 and out == "" and "budget exceeded" in err
+
+    def test_budget_bounds_sphere(self, capsys):
+        rc, _, err = run(["klym", "-p", "2", "-q", "3", "-r", "2", "--budget", "9"], capsys)
+        assert rc == 2 and "budget exceeded" in err
 
 
 class TestCertify:
@@ -173,6 +190,11 @@ class TestSweep:
         rc2, parallel, _ = run(["sweep", "--p-max", "2", "--q-max", "2", "--format", "csv", "--jobs", "2"], capsys)
         assert rc == rc2 == 0
         assert serial == parallel
+
+    def test_jobs_below_one_is_bad_usage(self, capsys):
+        for jobs in ("0", "-3"):
+            rc, out, err = run(["sweep", "--p-max", "2", "--q-max", "2", "--jobs", jobs], capsys)
+            assert rc == 2 and out == "" and "jobs" in err
 
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         import ballwidth.sweep as sweep_module

@@ -274,5 +274,14 @@ class TestCustomPoset:
             with pytest.raises(CustomPosetError, match=needle):
                 load_custom_poset(document)
 
+    def test_budget_checked_before_closure(self):
+        # the cycle is only visible after the closure; the budget must win
+        cyclic = {"elements": 3, "relations": [[0, 1], [1, 2], [2, 0]]}
+        with pytest.raises(BudgetExceededError) as err:
+            load_custom_poset(cyclic, element_budget=2)
+        assert err.value.required == 3 and err.value.budget == 2
+        with pytest.raises(CustomPosetError):
+            load_custom_poset(cyclic, element_budget=3)
+
     def test_empty_poset_allowed(self):
         assert len(load_custom_poset({"elements": 0})) == 0

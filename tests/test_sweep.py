@@ -189,3 +189,39 @@ class TestSweepRange:
         records, summary = sweep_range(2, 2)
         assert summary["counterexamples"] == [[2, 2, 2]]
         assert summary["by_status"]["COUNTEREXAMPLE"] == 1
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_below_one_is_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            sweep_range(2, 2, jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "cpus,jobs,expect",
+        [(3, 64, [3]), (64, 64, [5]), (8, 2, [2]), (1, 4, [])],
+    )
+    def test_pool_size_is_clamped(self, monkeypatch, cpus, jobs, expect):
+        # sweep_range(2, 2) has 5 tuples; a stub pool runs them in-process
+        import ballwidth.sweep as sweep_module
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: cpus)
+        records, _ = sweep_range(2, 2, jobs=jobs)
+        assert started == expect
+        assert canonical(records) == canonical(sweep_range(2, 2)[0])
