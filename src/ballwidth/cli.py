@@ -301,7 +301,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--general", action="store_true", help="include radii beyond min(p, q)"
     )
     sweep.add_argument("--budget", type=int, help="size cap for build and matching")
-    sweep.add_argument("--out", help="JSON-lines record log")
+    sweep.add_argument(
+        "--out", help="JSON-lines record log; must be new or empty unless --resume"
+    )
     sweep.add_argument(
         "--resume", action="store_true", help="skip tuples already in the log"
     )
@@ -342,3 +344,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

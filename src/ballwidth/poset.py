@@ -97,9 +97,6 @@ class PosetInstance:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def index_of(self) -> dict:
-        return {e: k for k, e in enumerate(self.elements)}
-
     def order_topological(self) -> list[int]:
         return sorted(range(len(self.elements)), key=lambda k: self.height_of[k])
 

@@ -218,15 +218,21 @@ def sweep_range(
 
     With out_path, each record is appended to the JSON-lines file as soon
     as it exists; with resume, tuples already in that file are kept as-is
-    and skipped.  `jobs` must be at least 1; the pool never outnumbers the
-    CPUs or the tuples left to verify.
+    and skipped.  Without resume, a non-empty out_path is refused with
+    ValueError and left untouched, so no run duplicates a log.  `jobs`
+    must be at least 1; the pool never outnumbers the CPUs or the tuples
+    left to verify.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     wanted = sweep_tuples(p_max, q_max, r_max, n_max, general)
     done: dict[tuple[int, int, int], SweepRecord] = {}
     path = Path(out_path) if out_path is not None else None
-    if resume and path is not None and path.exists():
+    if path is not None and path.exists() and path.stat().st_size:
+        if not resume:
+            raise ValueError(
+                f"{path} already holds a sweep log; resume it or pick a new file"
+            )
         done = _load_records(path)
     todo = [t for t in wanted if t not in done]
 

@@ -193,3 +193,89 @@ def poly_layer_counts(multiplicities) -> list[int]:
                 nxt[total + take] = nxt.get(total + take, 0) + ways
         counts = nxt
     return [counts[h] for h in range(max(counts) + 1)]
+
+
+def kuhn_matching_size(adj: list[int]) -> int:
+    """Maximum bipartite matching size by one augmenting search per left.
+
+    adj[u] is the bit set of rights adjacent to left u; rights are indexed
+    like the lefts (range(len(adj))).
+    """
+    n = len(adj)
+    mate: list[int | None] = [None] * n
+
+    def augment(u: int, visited: set) -> bool:
+        for v in range(n):
+            if adj[u] >> v & 1 and v not in visited:
+                visited.add(v)
+                if mate[v] is None or augment(mate[v], visited):
+                    mate[v] = u
+                    return True
+        return False
+
+    return sum(augment(u, set()) for u in range(n))
+
+
+def full_scan_hopcroft_karp(adj: list[int]):
+    """Hopcroft-Karp that tests every neighbour bit in ascending order.
+
+    The reference for the masked search: free lefts are searched in index
+    order, and right v is taken from left u when v is free or its mate's
+    layer is dist[u] + 1.  Returns (pair_left, pair_right, size).
+    """
+    n = len(adj)
+    match_l: list[int | None] = [None] * n
+    match_r: list[int | None] = [None] * n
+    dead = n + 1
+    dist = [dead] * n
+    size = 0
+    while True:
+        frontier = [u for u in range(n) if match_l[u] is None]
+        for u in range(n):
+            dist[u] = 0 if match_l[u] is None else dead
+        seen = set()
+        reached_free = False
+        layer = 0
+        while frontier:
+            nxt = []
+            for v in range(n):
+                if v in seen or not any(adj[u] >> v & 1 for u in frontier):
+                    continue
+                seen.add(v)
+                w = match_r[v]
+                if w is None:
+                    reached_free = True
+                else:
+                    dist[w] = layer + 1
+                    nxt.append(w)
+            frontier = nxt
+            layer += 1
+        if not reached_free:
+            return match_l, match_r, size
+        for root in range(n):
+            if match_l[root] is not None:
+                continue
+            stack = [[root, 0]]  # left vertex, next right to test
+            chosen: list[int] = []
+            while stack:
+                u, v = stack[-1]
+                while v < n and not (
+                    adj[u] >> v & 1
+                    and (match_r[v] is None or dist[match_r[v]] == dist[u] + 1)
+                ):
+                    v += 1
+                stack[-1][1] = v + 1
+                if v == n:
+                    dist[u] = dead
+                    stack.pop()
+                    if chosen:
+                        chosen.pop()
+                    continue
+                chosen.append(v)
+                if match_r[v] is None:
+                    for (uu, _), vv in zip(stack, chosen):
+                        match_l[uu] = vv
+                        match_r[vv] = uu
+                    size += 1
+                    break
+                stack.append([match_r[v], 0])

@@ -2,7 +2,14 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import ballwidth
 from ballwidth.cli import main
 
 
@@ -185,6 +192,15 @@ class TestSweep:
         assert rc == 0
         assert second == first  # canonical report ignores the stored timings
 
+    def test_rerun_without_resume_is_bad_usage(self, capsys, tmp_path):
+        log = tmp_path / "log.jsonl"
+        argv = ["sweep", "--p-max", "2", "--q-max", "2", "--format", "csv", "--out", str(log)]
+        assert run(argv, capsys)[0] == 0
+        before = log.read_bytes()
+        rc, out, err = run(argv, capsys)
+        assert rc == 2 and out == "" and "already holds a sweep log" in err
+        assert log.read_bytes() == before
+
     def test_parallel_jobs(self, capsys):
         rc, serial, _ = run(["sweep", "--p-max", "2", "--q-max", "2", "--format", "csv"], capsys)
         rc2, parallel, _ = run(["sweep", "--p-max", "2", "--q-max", "2", "--format", "csv", "--jobs", "2"], capsys)
@@ -280,3 +296,18 @@ class TestErrorPaths:
         rc, a, _ = run(["table", "-p", "4", "-q", "4", "-r", "3", "--format", "json"], capsys)
         rc2, b, _ = run(["table", "-p", "4", "-q", "4", "-r", "3", "--format", "json"], capsys)
         assert rc == rc2 == 0 and a == b
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["ballwidth", "ballwidth.cli"])
+    def test_python_dash_m_prints_the_verdict(self, module, capsys):
+        rc, expected, _ = run(["klym", "-p", "2", "-q", "3", "-r", "2"], capsys)
+        src = str(Path(ballwidth.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", module, "klym", "-p", "2", "-q", "3", "-r", "2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert rc == done.returncode == 0
+        assert done.stdout == expected != ""

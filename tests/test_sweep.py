@@ -159,6 +159,21 @@ class TestSweepRange:
         again, _ = sweep_range(2, 2, out_path=path, resume=True)
         assert again == first  # identical down to the stored timings
 
+    def test_rerun_without_resume_refuses_and_keeps_the_log(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        sweep_range(2, 2, out_path=path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="already holds a sweep log"):
+            sweep_range(2, 2, out_path=path)
+        assert path.read_bytes() == before
+        assert len(before.splitlines()) == 5
+
+    def test_empty_log_needs_no_resume(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text("")
+        records, _ = sweep_range(2, 2, out_path=path)
+        assert [SweepRecord.from_line(s) for s in path.read_text().splitlines()] == records
+
     def test_corrupt_middle_line_is_an_error(self, tmp_path):
         path = tmp_path / "records.jsonl"
         sweep_range(2, 2, out_path=path)
