@@ -1,137 +1,7 @@
-"""Widths, antichains and chain certificates for two-sided subset balls."""
+"""Widths, antichains and chain certificates for two-sided subset balls.
 
-from .antichains import (
-    AntichainWitness,
-    ChainPartition,
-    KlymVerdict,
-    check_klym,
-    flow_width,
-    is_unique_max_antichain,
-    max_weight_antichain,
-    min_chain_partition,
-    unique_by_definition,
-    width,
-)
-from .certificates import (
-    CERTIFIED,
-    CERTIFIED_STRICT,
-    INFEASIBLE,
-    NOT_APPLICABLE,
-    Certificate,
-    CertificateVerdict,
-    certificate_check,
-    certificate_search,
-    certified_width,
-    gk_partition,
-    realize_chain,
-    theorem_bound,
-    zigzag_certificate,
-)
-from .combinatorics import (
-    Ball,
-    CustomFamily,
-    GroundParams,
-    LayerProfile,
-    MarginVerdict,
-    MonotonicityVerdict,
-    Sphere,
-    SphereBand,
-    SublayerTable,
-    binomial,
-    build_table,
-    check_multiset_ratio_monotone,
-    check_ratio_monotone,
-    largest_sphere_sublayer,
-    layer_profile,
-    multiset_layer_sizes,
-    omega_threshold,
-    ratio,
-    sublayer_size,
-    zigzag_margin,
-)
-from .errors import (
-    BudgetExceededError,
-    CustomPosetError,
-    GradedQuotientError,
-    InternalConsistencyError,
-)
-from .poset import (
-    Element,
-    PosetInstance,
-    QuotientDag,
-    build_ball,
-    build_sphere,
-    build_sphere_band,
-    heights,
-    leq,
-    load_custom_poset,
-    quotient_dag,
-    subset_of,
-)
-from .sweep import SweepRecord, sweep_range, verify_instance
+The package root exports only `__version__`; import everything else from
+its module, e.g. `from ballwidth.poset import build_ball`.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AntichainWitness",
-    "Ball",
-    "BudgetExceededError",
-    "CERTIFIED",
-    "CERTIFIED_STRICT",
-    "Certificate",
-    "CertificateVerdict",
-    "ChainPartition",
-    "CustomFamily",
-    "CustomPosetError",
-    "Element",
-    "GradedQuotientError",
-    "GroundParams",
-    "INFEASIBLE",
-    "InternalConsistencyError",
-    "KlymVerdict",
-    "LayerProfile",
-    "MarginVerdict",
-    "MonotonicityVerdict",
-    "NOT_APPLICABLE",
-    "PosetInstance",
-    "QuotientDag",
-    "Sphere",
-    "SphereBand",
-    "SublayerTable",
-    "SweepRecord",
-    "binomial",
-    "build_ball",
-    "build_sphere",
-    "build_sphere_band",
-    "build_table",
-    "certificate_check",
-    "certificate_search",
-    "certified_width",
-    "check_klym",
-    "check_multiset_ratio_monotone",
-    "check_ratio_monotone",
-    "flow_width",
-    "gk_partition",
-    "heights",
-    "is_unique_max_antichain",
-    "largest_sphere_sublayer",
-    "layer_profile",
-    "leq",
-    "load_custom_poset",
-    "max_weight_antichain",
-    "min_chain_partition",
-    "multiset_layer_sizes",
-    "omega_threshold",
-    "quotient_dag",
-    "ratio",
-    "realize_chain",
-    "subset_of",
-    "sublayer_size",
-    "sweep_range",
-    "theorem_bound",
-    "unique_by_definition",
-    "verify_instance",
-    "width",
-    "zigzag_certificate",
-    "zigzag_margin",
-]

@@ -52,20 +52,13 @@ class KlymVerdict:
     witness: AntichainWitness
 
 
-def _cache(instance: PosetInstance) -> dict:
-    if instance._flow_cache is None:
-        instance._flow_cache = {}
-    return instance._flow_cache
-
-
 def _matching(instance: PosetInstance, matching_budget: int):
     n = len(instance)
     if n > matching_budget:
         raise BudgetExceededError(n, matching_budget, "elements for matching")
-    cache = _cache(instance)
-    if "matching" not in cache:
-        cache["matching"] = hopcroft_karp(instance.up_masks())
-    return cache["matching"]
+    if instance._matching is None:
+        instance._matching = hopcroft_karp(instance.up_masks())
+    return instance._matching
 
 
 def width(
@@ -265,8 +258,7 @@ def max_weight_antichain(
 
 
 def _unit_extremes(instance: PosetInstance) -> tuple[int, list[int], list[int]]:
-    cache = _cache(instance)
-    if "unit" not in cache:
+    if instance._unit_cuts is None:
         n = len(instance)
         weights = [1] * n
         value, net = _min_flow(instance, weights)
@@ -274,8 +266,8 @@ def _unit_extremes(instance: PosetInstance) -> tuple[int, list[int], list[int]]:
         for members in (from_t, from_s):
             if len(members) != value or not instance.is_antichain(members):
                 raise InternalConsistencyError("extreme cut is not a valid witness")
-        cache["unit"] = (value, from_t, from_s)
-    return cache["unit"]
+        instance._unit_cuts = (value, from_t, from_s)
+    return instance._unit_cuts
 
 
 def flow_width(instance: PosetInstance) -> tuple[int, AntichainWitness]:

@@ -53,22 +53,7 @@ class Sphere:
     m: int
 
 
-@dataclass(frozen=True, slots=True)
-class SphereBand:
-    """Consecutive spheres lo..hi, i.e. lo <= i + j <= hi."""
-
-    lo: int
-    hi: int
-
-
-@dataclass(frozen=True, slots=True)
-class CustomFamily:
-    """An explicit coordinate set."""
-
-    coords: frozenset[Coord]
-
-
-Family = Ball | Sphere | SphereBand | CustomFamily
+Family = Ball | Sphere
 
 
 def binomial(n: int, k: int) -> int:
@@ -102,28 +87,13 @@ def _level_coords(params: GroundParams, s: int) -> Iterable[Coord]:
 
 def family_coords(params: GroundParams, family: Family) -> list[Coord]:
     """Coordinates of a family, ordered by (i+j ascending, i descending)."""
-    if isinstance(family, Ball):
-        levels = range(0, min(params.r, params.n) + 1)
-    elif isinstance(family, Sphere):
+    if isinstance(family, Sphere):
         if not 0 <= family.m <= params.n:
             raise ValueError(f"sphere index {family.m} out of range for n={params.n}")
         levels = range(family.m, family.m + 1)
-    elif isinstance(family, SphereBand):
-        if not 0 <= family.lo <= family.hi <= params.n:
-            raise ValueError(
-                f"sphere band {family.lo}..{family.hi} out of range for n={params.n}"
-            )
-        levels = range(family.lo, family.hi + 1)
-    elif isinstance(family, CustomFamily):
-        for i, j in family.coords:
-            _check_coord(params, i, j)
-        return sorted(family.coords, key=lambda c: (c[0] + c[1], -c[0]))
     else:
-        raise TypeError(f"unknown family {family!r}")
-    out: list[Coord] = []
-    for s in levels:
-        out.extend(_level_coords(params, s))
-    return out
+        levels = range(0, min(params.r, params.n) + 1)
+    return [c for s in levels for c in _level_coords(params, s)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,23 +144,15 @@ def layer_profile(table: SublayerTable) -> LayerProfile:
     longest-path heights from the poset construction instead.
     """
     params = table.params
-    cap = min(params.p, params.q)
-    if isinstance(table.family, Ball):
-        if params.r > cap:
-            raise ValueError(
-                "closed-form heights need r <= min(p, q); "
-                "use longest-path heights for the truncated regime"
-            )
-        height = lambda c: params.r - c[0] + c[1]
-    elif isinstance(table.family, Sphere):
-        if table.family.m > cap:
-            raise ValueError(
-                "closed-form heights need the sphere index <= min(p, q); "
-                "use longest-path heights for the truncated regime"
-            )
-        height = lambda c: c[1]
+    if isinstance(table.family, Sphere):
+        index, name, height = table.family.m, "the sphere index", lambda c: c[1]
     else:
-        raise ValueError("closed-form heights exist only for balls and spheres")
+        index, name, height = params.r, "r", lambda c: params.r - c[0] + c[1]
+    if index > min(params.p, params.q):
+        raise ValueError(
+            f"closed-form heights need {name} <= min(p, q); "
+            "use longest-path heights for the truncated regime"
+        )
     agg: dict[int, int] = {}
     for c, v in table.sizes.items():
         h = height(c)
@@ -293,13 +255,6 @@ def zigzag_margin(params: GroundParams, c: Coord) -> MarginVerdict:
         - sublayer_size(params, (i, j - 2))
     )
     return MarginVerdict(slack >= 0, slack)
-
-
-def omega_threshold(r: int) -> Fraction:
-    """The exact far-side size threshold ((r + 1/2) / 3)^3 + r - 3."""
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    return Fraction((2 * r + 1) ** 3, 216) + (r - 3)
 
 
 def multiset_layer_sizes(multiplicities: Iterable[int]) -> list[int]:

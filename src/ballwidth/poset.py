@@ -18,11 +18,9 @@ from typing import Iterator, NamedTuple
 from .combinatorics import (
     Ball,
     Coord,
-    CustomFamily,
     Family,
     GroundParams,
     Sphere,
-    SphereBand,
     build_table,
     family_coords,
 )
@@ -80,25 +78,27 @@ class PosetInstance:
     """A fully materialised poset with covers and heights.
 
     Built families carry Element entries plus their coordinates; custom
-    posets carry opaque integer ids and no coordinate structure.
+    posets carry opaque integer ids and no coordinate structure.  The
+    width engines memoise their Hopcroft-Karp matching (pair_l, pair_r,
+    size) and their unit-weight extreme cuts (value, from_t, from_s) here.
     """
 
     elements: list
     covers: list[list[int]]  # upper-cover adjacency, by element index
     height_of: list[int]
     sublayer_of: list[Coord] | None
-    params: GroundParams | None
-    family: Family | None
     _up: list[int] | None = field(default=None, repr=False)
     _down: list[int] | None = field(default=None, repr=False)
     _lower: list[list[int]] | None = field(default=None, repr=False)
-    _flow_cache: object = field(default=None, repr=False)
+    _matching: tuple[list[int], list[int], int] | None = field(
+        default=None, repr=False
+    )
+    _unit_cuts: tuple[int, list[int], list[int]] | None = field(
+        default=None, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def order_topological(self) -> list[int]:
-        return sorted(range(len(self.elements)), key=lambda k: self.height_of[k])
 
     def up_masks(self) -> list[int]:
         """Strict up-set of every element, as index bit sets."""
@@ -148,11 +148,6 @@ class PosetInstance:
         return all(up[x] & mask == 0 for x in members)
 
 
-def heights(instance: PosetInstance) -> dict:
-    """Longest-path height of every element, keyed by the element."""
-    return {e: instance.height_of[k] for k, e in enumerate(instance.elements)}
-
-
 def masks_with_popcount(width: int, k: int) -> Iterator[int]:
     """All width-bit masks with exactly k bits set, ascending."""
     if k == 0:
@@ -187,21 +182,8 @@ def _family_edges(coords: set[Coord]) -> list[tuple[Coord, Coord]]:
     return edges
 
 
-def quotient_dag(
-    arg: PosetInstance | GroundParams, family: Family | None = None
-) -> QuotientDag:
+def quotient_dag(params: GroundParams, family: Family) -> QuotientDag:
     """Coordinate diagram with validated grading and unique endpoints."""
-    if isinstance(arg, PosetInstance):
-        if arg.params is None or arg.family is None:
-            raise ValueError("custom posets carry no coordinate structure")
-        params, family = arg.params, arg.family
-    else:
-        params = arg
-        if family is None:
-            raise ValueError("a family is required alongside raw parameters")
-    if isinstance(family, CustomFamily):
-        raise ValueError("coordinate diagrams exist only for ball/sphere families")
-
     coord_list = family_coords(params, family)
     coords = set(coord_list)
     edges = _family_edges(coords)
@@ -301,7 +283,7 @@ def _build_family(
         ups.sort()
         covers.append(ups)
 
-    return PosetInstance(elements, covers, height_of, sublayer_of, params, family)
+    return PosetInstance(elements, covers, height_of, sublayer_of)
 
 
 def build_ball(
@@ -316,16 +298,6 @@ def build_sphere(
 ) -> PosetInstance:
     """Every element at distance exactly m from the center set."""
     return _build_family(params, Sphere(m), element_budget)
-
-
-def build_sphere_band(
-    params: GroundParams,
-    lo: int,
-    hi: int,
-    element_budget: int = DEFAULT_ELEMENT_BUDGET,
-) -> PosetInstance:
-    """Every element at distance between lo and hi from the center set."""
-    return _build_family(params, SphereBand(lo, hi), element_budget)
 
 
 def load_custom_poset(
@@ -403,6 +375,6 @@ def load_custom_poset(
         for w in covers[v]:
             height_of[w] = max(height_of[w], height_of[v] + 1)
 
-    instance = PosetInstance(list(range(n)), covers, height_of, None, None, None)
+    instance = PosetInstance(list(range(n)), covers, height_of, None)
     instance._up = up
     return instance

@@ -8,6 +8,7 @@ input, so identical runs produce byte-identical documents.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .combinatorics import (
     Ball,
@@ -167,6 +168,11 @@ def record_row(record) -> dict:
     return {k: getattr(record, k) for k in SWEEP_COLUMNS}
 
 
+def status_tally(records) -> dict[str, int]:
+    """Number of records per status, statuses in sorted order."""
+    return dict(sorted(Counter(record.status for record in records).items()))
+
+
 def emit_sweep_csv(records) -> str:
     lines = [",".join(SWEEP_COLUMNS)]
     for record in records:
@@ -176,15 +182,9 @@ def emit_sweep_csv(records) -> str:
 
 
 def emit_sweep_json(records) -> str:
-    by_status: dict[str, int] = {}
-    for record in records:
-        by_status[record.status] = by_status.get(record.status, 0) + 1
     payload = {
         "records": [record_row(r) for r in records],
-        "summary": {
-            "total": len(records),
-            "by_status": dict(sorted(by_status.items())),
-        },
+        "summary": {"total": len(records), "by_status": status_tally(records)},
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -198,12 +198,9 @@ def emit_sweep_text(records) -> str:
     lines = ["  ".join(k.rjust(w) for k, w in zip(SWEEP_COLUMNS, widths))]
     for row in rows:
         lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
-    by_status: dict[str, int] = {}
-    for record in records:
-        by_status[record.status] = by_status.get(record.status, 0) + 1
     lines.append("")
     lines.append(
-        ", ".join(f"{k}: {v}" for k, v in sorted(by_status.items()))
+        ", ".join(f"{k}: {v}" for k, v in status_tally(records).items())
         or "no records"
     )
     return "\n".join(lines) + "\n"

@@ -7,8 +7,10 @@ counterexample is ever declared), and the certificate, normalized-weight
 and theorem-bound checks are run where they apply.
 
 Records append to a JSON-lines file as they finish, so an interrupted
-sweep resumes by skipping tuples already on disk.  Timings are logged but
-never take part in comparisons or canonical reports.
+sweep resumes by skipping tuples already on disk.  Each record states the
+budgets it ran under, so a resumed run re-verifies OVER_BUDGET records made
+under smaller ones.  Timings and budgets are logged but never take part in
+canonical reports.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -32,7 +35,7 @@ from .certificates import certified_width, theorem_bound
 from .combinatorics import Ball, GroundParams, build_table
 from .errors import InternalConsistencyError
 from .poset import DEFAULT_ELEMENT_BUDGET, build_ball, build_sphere
-from .reports import ball_profile
+from .reports import ball_profile, status_tally
 
 VERIFIED_UNIQUE = "VERIFIED_UNIQUE"
 VERIFIED_SIZE_ONLY = "VERIFIED_SIZE_ONLY"
@@ -59,6 +62,9 @@ class SweepRecord:
     theorem_bound_ok: bool | None
     status: str
     elapsed_ms: int
+    # None in logs written before records stated their budgets
+    element_budget: int | None = None
+    matching_budget: int | None = None
 
     def to_line(self) -> str:
         return json.dumps(asdict(self))
@@ -77,6 +83,16 @@ def verify_instance(
     r: int,
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
     matching_budget: int = DEFAULT_MATCHING_BUDGET,
+) -> SweepRecord:
+    """The record of one tuple; an internal error names the tuple."""
+    try:
+        return _verify(p, q, r, element_budget, matching_budget)
+    except InternalConsistencyError as exc:
+        raise InternalConsistencyError(f"at ({p}, {q}, {r}): {exc}") from exc
+
+
+def _verify(
+    p: int, q: int, r: int, element_budget: int, matching_budget: int
 ) -> SweepRecord:
     params = GroundParams(p, q, r)
     start = time.perf_counter()
@@ -104,8 +120,7 @@ def verify_instance(
         flow_value, _ = flow_width(instance)
         if flow_value != width_value:
             raise InternalConsistencyError(
-                f"matching width {width_value} vs flow width {flow_value} "
-                f"at ({p}, {q}, {r})"
+                f"matching width {width_value} vs flow width {flow_value}"
             )
         if width_value == profile.max_size and not profile.tie:
             layer = [
@@ -115,9 +130,7 @@ def verify_instance(
             ]
             unique = is_unique_max_antichain(instance, layer, matching_budget)
             if not unique and unique_by_definition(instance, layer, matching_budget):
-                raise InternalConsistencyError(
-                    f"uniqueness engines disagree at ({p}, {q}, {r})"
-                )
+                raise InternalConsistencyError("uniqueness engines disagree")
         if in_regime:
             verdict, _ = certified_width(params)
             cert_status = verdict.status
@@ -157,6 +170,8 @@ def verify_instance(
         theorem_bound_ok=bound_ok,
         status=status,
         elapsed_ms=elapsed_ms,
+        element_budget=element_budget,
+        matching_budget=matching_budget,
     )
 
 
@@ -197,6 +212,22 @@ def _load_records(path: Path) -> dict[tuple[int, int, int], SweepRecord]:
     return done
 
 
+def _still_valid(
+    record: SweepRecord, element_budget: int, matching_budget: int
+) -> bool:
+    """Would this run compute the logged record too?
+
+    Only OVER_BUDGET depends on the budgets: it stands if both budgets it
+    states are at least this run's, and is re-verified otherwise.
+    """
+    return record.status != OVER_BUDGET or (
+        record.element_budget is not None
+        and record.matching_budget is not None
+        and record.element_budget >= element_budget
+        and record.matching_budget >= matching_budget
+    )
+
+
 def _verify_args(args: tuple[int, int, int, int, int]) -> SweepRecord:
     p, q, r, element_budget, matching_budget = args
     return verify_instance(p, q, r, element_budget, matching_budget)
@@ -218,10 +249,11 @@ def sweep_range(
 
     With out_path, each record is appended to the JSON-lines file as soon
     as it exists; with resume, tuples already in that file are kept as-is
-    and skipped.  Without resume, a non-empty out_path is refused with
-    ValueError and left untouched, so no run duplicates a log.  `jobs`
-    must be at least 1; the pool never outnumbers the CPUs or the tuples
-    left to verify.
+    and skipped, except OVER_BUDGET records made under smaller budgets,
+    which are verified again and appended (the last line per tuple wins).
+    Without resume, a non-empty out_path is refused with ValueError and
+    left untouched, so no run duplicates a log.  `jobs` must be at least 1;
+    the pool never outnumbers the CPUs or the tuples left to verify.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -233,39 +265,32 @@ def sweep_range(
             raise ValueError(
                 f"{path} already holds a sweep log; resume it or pick a new file"
             )
-        done = _load_records(path)
+        done = {
+            key: record
+            for key, record in _load_records(path).items()
+            if _still_valid(record, element_budget, matching_budget)
+        }
     todo = [t for t in wanted if t not in done]
 
-    handle = path.open("a") if path is not None else None
-    try:
-        work = [(p, q, r, element_budget, matching_budget) for p, q, r in todo]
-        workers = min(jobs, os.cpu_count() or 1, len(work))
+    work = [(p, q, r, element_budget, matching_budget) for p, q, r in todo]
+    workers = min(jobs, os.cpu_count() or 1, len(work))
+    with ExitStack() as stack:
+        handle = stack.enter_context(path.open("a")) if path is not None else None
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = pool.map(_verify_args, work)
-                for record in results:
-                    done[record.key()] = record
-                    if handle is not None:
-                        handle.write(record.to_line() + "\n")
-                        handle.flush()
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_verify_args, work)
         else:
-            for args in work:
-                record = _verify_args(args)
-                done[record.key()] = record
-                if handle is not None:
-                    handle.write(record.to_line() + "\n")
-                    handle.flush()
-    finally:
-        if handle is not None:
-            handle.close()
+            results = map(_verify_args, work)
+        for record in results:
+            done[record.key()] = record
+            if handle is not None:
+                handle.write(record.to_line() + "\n")
+                handle.flush()
 
     records = [done[t] for t in sorted(wanted)]
-    by_status: dict[str, int] = {}
-    for record in records:
-        by_status[record.status] = by_status.get(record.status, 0) + 1
     summary = {
         "total": len(records),
-        "by_status": dict(sorted(by_status.items())),
+        "by_status": status_tally(records),
         "counterexamples": [
             list(r.key()) for r in records if r.status == COUNTEREXAMPLE
         ],

@@ -5,33 +5,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ballwidth.antichains as antichains_module
-from ballwidth import (
-    BudgetExceededError,
-    InternalConsistencyError,
-    GroundParams,
-    build_ball,
-    build_sphere,
-    build_sphere_band,
+from ballwidth.antichains import (
     check_klym,
     flow_width,
     is_unique_max_antichain,
-    load_custom_poset,
     max_weight_antichain,
     min_chain_partition,
-    subset_of,
     unique_by_definition,
     width,
 )
+from ballwidth.combinatorics import GroundParams
+from ballwidth.errors import BudgetExceededError, InternalConsistencyError
 from ballwidth.flows import FlowNetwork
+from ballwidth.poset import build_ball, build_sphere, load_custom_poset, subset_of
 from ballwidth.sweep import sweep_tuples
 
 from helpers import (
     brute_all_max_antichains,
+    brute_covers,
     brute_klym_max,
     brute_max_weight,
     brute_width,
     closure_from_pairs,
     comparability_masks,
+    enumerate_family_subsets,
     strict_less_masks,
 )
 
@@ -44,8 +41,15 @@ def small_corpus():
     for p, q, m in [(2, 2, 1), (2, 3, 2), (3, 3, 2)]:
         params = GroundParams(p, q, m)
         yield f"sphere({p},{q},{m})", build_sphere(params, m), params
-    params = GroundParams(2, 2, 2)
-    yield "band(2,2,1..2)", build_sphere_band(params, 1, 2), params
+    # the spheres 1 and 2 of p = q = 2 together, loaded from their covers
+    band = sorted(
+        enumerate_family_subsets(2, 2, lambda i, j: 1 <= i + j <= 2), key=sorted
+    )
+    covers = brute_covers(strict_less_masks(band))
+    relations = [[x, y] for x, ys in enumerate(covers) for y in ys]
+    yield "band(2,2,1..2)", load_custom_poset(
+        {"elements": len(band), "relations": relations}
+    ), None
     yield "chain+point", load_custom_poset({"elements": 3, "relations": [[0, 1]]}), None
     yield "two chains", load_custom_poset(
         {"elements": 5, "relations": [[0, 1], [1, 2], [3, 4]]}

@@ -1,30 +1,29 @@
 import pytest
 
-from ballwidth import (
-    Ball,
-    BudgetExceededError,
+from ballwidth.antichains import width
+from ballwidth.certificates import (
     CERTIFIED,
     CERTIFIED_STRICT,
-    Certificate,
-    GroundParams,
     INFEASIBLE,
     NOT_APPLICABLE,
-    build_ball,
-    build_table,
+    Certificate,
     certificate_check,
     certificate_search,
     certified_width,
     gk_partition,
-    layer_profile,
-    leq,
-    quotient_dag,
     realize_chain,
-    subset_of,
     theorem_bound,
-    width,
     zigzag_certificate,
 )
-from ballwidth.combinatorics import Sphere, sublayer_size
+from ballwidth.combinatorics import (
+    Ball,
+    GroundParams,
+    build_table,
+    layer_profile,
+    sublayer_size,
+)
+from ballwidth.errors import BudgetExceededError
+from ballwidth.poset import build_ball, leq, quotient_dag, subset_of
 
 from helpers import pascal_binomial
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -311,3 +312,35 @@ class TestModuleEntry:
         )
         assert rc == done.returncode == 0
         assert done.stdout == expected != ""
+
+
+# sha256 of the canonical documents, pinned so a refactor keeps them byte-identical
+GOLDEN = [
+    (
+        "sweep --p-max 6 --q-max 6 --format json",
+        "70774ce2ccd7a01829afca9ee9e31fabe7715c67daf47f70dc9d55d086c1c648",
+    ),
+    (
+        "sweep --p-max 6 --q-max 6 --format text",
+        "f04a9e217cf0305b7a4e964b42c2c9ed23b013d5e06a107c8db94700dae78676",
+    ),
+    (
+        "table -p 5 -q 8 -r 4 --format json",
+        "9ed7366d01e0eaf70b360918dea0f6caf8368bdad230cd39270d9c9a4c918761",
+    ),
+    (
+        "certify -p 5 -q 8 -r 4 --strict --format json",
+        "9578a555f87168936fbd493b3808d877655d9d5a0e0001794768578a9d5693fa",
+    ),
+    (
+        "klym -p 4 -q 5 -r 3 --format json",
+        "d5c1066c10e8cce532e1ada58b89f80fe0aacd15e800cc3795a5a1bcbe398a1f",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_golden_digest(command, digest, capsys):
+    rc, out, err = run(command.split(), capsys)
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

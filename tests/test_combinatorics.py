@@ -5,24 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballwidth import (
+from ballwidth.combinatorics import (
     Ball,
-    CustomFamily,
     GroundParams,
     Sphere,
-    SphereBand,
+    binomial,
     build_table,
     check_multiset_ratio_monotone,
     check_ratio_monotone,
+    family_coords,
     largest_sphere_sublayer,
     layer_profile,
     multiset_layer_sizes,
-    omega_threshold,
+    profile_from_sizes,
     ratio,
     sublayer_size,
     zigzag_margin,
 )
-from ballwidth.combinatorics import binomial, family_coords, profile_from_sizes
 
 from helpers import pascal_binomial, poly_layer_counts
 
@@ -86,21 +85,8 @@ class TestFamilyCoords:
     def test_sphere_and_band(self):
         params = GroundParams(5, 8, 4)
         assert family_coords(params, Sphere(2)) == [(2, 0), (1, 1), (0, 2)]
-        assert family_coords(params, SphereBand(3, 4)) == [
-            (3, 0), (2, 1), (1, 2), (0, 3),
-            (4, 0), (3, 1), (2, 2), (1, 3), (0, 4),
-        ]
         with pytest.raises(ValueError):
             family_coords(params, Sphere(14))
-        with pytest.raises(ValueError):
-            family_coords(params, SphereBand(3, 1))
-
-    def test_custom_family_sorted_and_checked(self):
-        params = GroundParams(3, 3, 3)
-        fam = CustomFamily(frozenset({(0, 2), (2, 0), (1, 1), (0, 0)}))
-        assert family_coords(params, fam) == [(0, 0), (2, 0), (1, 1), (0, 2)]
-        with pytest.raises(ValueError):
-            family_coords(params, CustomFamily(frozenset({(4, 0)})))
 
 
 class TestBuildTable:
@@ -145,8 +131,6 @@ class TestLayerProfile:
             layer_profile(build_table(GroundParams(2, 5, 4)))
         with pytest.raises(ValueError):
             layer_profile(build_table(GroundParams(2, 5, 0), Sphere(4)))
-        with pytest.raises(ValueError):
-            layer_profile(build_table(GroundParams(2, 5, 2), SphereBand(0, 2)))
 
     def test_profile_from_sizes_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -232,21 +216,6 @@ class TestZigzagMargin:
             zigzag_margin(params, (1, 1))
         with pytest.raises(ValueError):
             zigzag_margin(params, (2, 3))
-
-
-class TestOmegaThreshold:
-    def test_reference_values(self):
-        assert omega_threshold(10) == Fraction(399, 8)
-        assert omega_threshold(1) == Fraction(-15, 8)
-        assert omega_threshold(0) == Fraction(-647, 216)
-
-    def test_closed_form_and_monotone(self):
-        for r in range(0, 30):
-            assert omega_threshold(r) == Fraction((2 * r + 1) ** 3, 216) + r - 3
-            if r:
-                assert omega_threshold(r) > omega_threshold(r - 1)
-        with pytest.raises(ValueError):
-            omega_threshold(-1)
 
 
 class TestMultisetLayers:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballwidth import GroundParams, build_ball, build_sphere, load_custom_poset
+from ballwidth.combinatorics import GroundParams
 from ballwidth.matching import hopcroft_karp, konig_independent
+from ballwidth.poset import build_ball, build_sphere, load_custom_poset
 
 from helpers import full_scan_hopcroft_karp, kuhn_matching_size
 

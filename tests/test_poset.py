@@ -4,26 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballwidth import (
-    Ball,
-    BudgetExceededError,
-    CustomFamily,
-    CustomPosetError,
+from ballwidth.combinatorics import Ball, GroundParams, Sphere, build_table
+from ballwidth.errors import BudgetExceededError, CustomPosetError
+from ballwidth.poset import (
     Element,
-    GroundParams,
-    Sphere,
-    SphereBand,
     build_ball,
     build_sphere,
-    build_sphere_band,
-    build_table,
-    heights,
     leq,
     load_custom_poset,
+    masks_with_popcount,
     quotient_dag,
     subset_of,
 )
-from ballwidth.poset import masks_with_popcount
 
 from helpers import (
     brute_covers,
@@ -103,7 +95,7 @@ class TestBuildBall:
     def test_heights_closed_form_in_regime(self):
         params = GroundParams(3, 3, 2)
         inst = build_ball(params)
-        for e, h in heights(inst).items():
+        for e, h in zip(inst.elements, inst.height_of):
             i, j = e.coord
             assert h == params.r - i + j
 
@@ -127,20 +119,8 @@ class TestBuildSphereAndBand:
         want = enumerate_family_subsets(2, 3, lambda i, j: i + j == 2)
         assert set(as_subsets(inst, params)) == want
         # on a sphere the height is the number of gained elements
-        for e, h in heights(inst).items():
+        for e, h in zip(inst.elements, inst.height_of):
             assert h == e.coord[1]
-
-    def test_band_elements(self):
-        params = GroundParams(2, 3, 3)
-        inst = build_sphere_band(params, 1, 3)
-        want = enumerate_family_subsets(2, 3, lambda i, j: 1 <= i + j <= 3)
-        assert set(as_subsets(inst, params)) == want
-
-    def test_band_heights_match_brute_force(self):
-        params = GroundParams(2, 3, 3)
-        inst = build_sphere_band(params, 1, 3)
-        lt = strict_less_masks(as_subsets(inst, params))
-        assert inst.height_of == brute_heights(lt)
 
 
 class TestPosetInstance:
@@ -173,13 +153,12 @@ class TestPosetInstance:
 
     def test_topological_order(self):
         inst = build_ball(GroundParams(2, 3, 2))
-        pos = {x: k for k, x in enumerate(inst.order_topological())}
         up = inst.up_masks()
         for x in range(len(inst)):
             rest = up[x]
             while rest:
                 bit = rest & -rest
-                assert pos[x] < pos[bit.bit_length() - 1]
+                assert inst.height_of[x] < inst.height_of[bit.bit_length() - 1]
                 rest ^= bit
 
 
@@ -217,10 +196,6 @@ class TestQuotientDag:
         dag = quotient_dag(GroundParams(3, 4, 3), Ball())
         succ = dag.successors()
         assert sorted((u, v) for u, vs in succ.items() for v in vs) == sorted(dag.edges)
-
-    def test_custom_family_rejected(self):
-        with pytest.raises(ValueError, match="ball/sphere"):
-            quotient_dag(GroundParams(3, 3, 3), CustomFamily(frozenset({(0, 0)})))
 
 
 class TestCustomPoset:

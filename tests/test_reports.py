@@ -2,7 +2,7 @@ import csv
 import io
 import json
 
-from ballwidth import GroundParams, verify_instance
+from ballwidth.combinatorics import GroundParams
 from ballwidth.reports import (
     SWEEP_COLUMNS,
     ball_profile,
@@ -16,6 +16,7 @@ from ballwidth.reports import (
     record_row,
     table_report,
 )
+from ballwidth.sweep import verify_instance
 
 REFERENCE_SIZES = {
     (0, 0): 1,

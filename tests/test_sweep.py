@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballwidth import SweepRecord, verify_instance
+from ballwidth.errors import InternalConsistencyError
 from ballwidth.reports import emit_sweep_csv
-from ballwidth.sweep import sweep_range, sweep_tuples
+from ballwidth.sweep import SweepRecord, sweep_range, sweep_tuples, verify_instance
 
 
 def canonical(records):
@@ -183,6 +183,58 @@ class TestSweepRange:
         with pytest.raises(ValueError, match="unreadable sweep record"):
             sweep_range(2, 2, out_path=path, resume=True)
 
+    def test_resume_reverifies_over_budget_from_smaller_budgets(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        _, summary = sweep_range(2, 3, element_budget=5, out_path=path)
+        assert summary["by_status"]["OVER_BUDGET"] == 3
+        resumed, summary = sweep_range(2, 3, out_path=path, resume=True)
+        fresh, fresh_summary = sweep_range(2, 3)
+        assert summary["by_status"] == fresh_summary["by_status"]
+        assert "OVER_BUDGET" not in summary["by_status"]
+        assert emit_sweep_csv(resumed) == emit_sweep_csv(fresh)
+        # the re-verified tuples are appended; the last line per tuple wins
+        assert len(path.read_text().splitlines()) == len(fresh) + 3
+        again, _ = sweep_range(2, 3, out_path=path, resume=True)
+        assert again == resumed
+
+    def test_resume_keeps_over_budget_from_budgets_at_least_as_large(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        first, summary = sweep_range(2, 3, element_budget=5, out_path=path)
+        before = path.read_bytes()
+        for element_budget, matching_budget in [(5, 20000), (4, 20000), (5, 3)]:
+            again, _ = sweep_range(
+                2,
+                3,
+                element_budget=element_budget,
+                matching_budget=matching_budget,
+                out_path=path,
+                resume=True,
+            )
+            assert again == first
+        assert path.read_bytes() == before
+        assert summary["by_status"]["OVER_BUDGET"] == 3
+
+    def test_resume_reverifies_over_budget_lines_without_budgets(self, tmp_path):
+        # a log line in the older format, which did not state its budgets
+        path = tmp_path / "records.jsonl"
+        stale = json.loads(verify_instance(2, 2, 2, element_budget=5).to_line())
+        assert stale["status"] == "OVER_BUDGET"
+        stale.pop("element_budget", None)
+        stale.pop("matching_budget", None)
+        path.write_text(json.dumps(stale) + "\n")
+        resumed, summary = sweep_range(2, 2, out_path=path, resume=True)
+        assert "OVER_BUDGET" not in summary["by_status"]
+        assert canonical(resumed) == canonical(sweep_range(2, 2)[0])
+
+    def test_records_state_their_budgets(self):
+        record = verify_instance(2, 3, 2, element_budget=50, matching_budget=40)
+        assert (record.element_budget, record.matching_budget) == (50, 40)
+        old_line = json.dumps(
+            {k: v for k, v in json.loads(record.to_line()).items() if "budget" not in k}
+        )
+        old = SweepRecord.from_line(old_line)
+        assert old.element_budget is None and old.matching_budget is None
+
     def test_over_budget_status_is_not_a_counterexample(self):
         records, summary = sweep_range(2, 3, element_budget=5)
         assert summary["counterexamples"] == []
@@ -240,3 +292,24 @@ class TestJobs:
         records, _ = sweep_range(2, 2, jobs=jobs)
         assert started == expect
         assert canonical(records) == canonical(sweep_range(2, 2)[0])
+
+
+class TestErrorsNameTheirTuple:
+    @pytest.fixture
+    def broken_klym(self, monkeypatch):
+        import ballwidth.sweep as sweep_module
+
+        def broken(instance):
+            raise InternalConsistencyError("planted disagreement")
+
+        monkeypatch.setattr(sweep_module, "check_klym", broken)
+
+    def test_direct_call(self, broken_klym):
+        with pytest.raises(InternalConsistencyError, match=r"\(2, 3, 2\)") as err:
+            verify_instance(2, 3, 2)
+        assert "planted disagreement" in str(err.value)
+        assert isinstance(err.value.__cause__, InternalConsistencyError)
+
+    def test_through_sweep_range(self, broken_klym):
+        with pytest.raises(InternalConsistencyError, match=r"\(1, 1, 1\)"):
+            sweep_range(1, 1)
