@@ -1,9 +1,9 @@
-"""Width, chain partitions and heaviest antichains of a finite poset.
+"""Width, uniqueness and heaviest antichains of a finite poset.
 
 Two engines that must agree:
 
 * a bipartite matching over the comparability relation (Dilworth through
-  Koenig's theorem) gives the width and a minimum chain partition;
+  Koenig's theorem) gives the width and a maximum antichain;
 * a minimum flow with per-element lower bounds gives the heaviest
   antichain under arbitrary nonnegative weights.
 
@@ -19,7 +19,7 @@ from math import lcm
 
 from .errors import BudgetExceededError, InternalConsistencyError
 from .flows import FlowNetwork
-from .matching import chains_from_matching, hopcroft_karp, konig_independent
+from .matching import hopcroft_karp, konig_independent
 from .poset import PosetInstance
 
 DEFAULT_MATCHING_BUDGET = 20000
@@ -33,16 +33,6 @@ class AntichainWitness:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-@dataclass(frozen=True)
-class ChainPartition:
-    """Disjoint chains covering the ground set, each bottom to top."""
-
-    chains: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.chains)
 
 
 @dataclass(frozen=True)
@@ -75,26 +65,6 @@ def width(
             f"{len(members)} members"
         )
     return w, AntichainWitness(tuple(members))
-
-
-def min_chain_partition(
-    instance: PosetInstance, matching_budget: int = DEFAULT_MATCHING_BUDGET
-) -> ChainPartition:
-    """Partition into as few chains as the width allows."""
-    pair_l, pair_r, msize = _matching(instance, matching_budget)
-    chains = chains_from_matching(pair_l, pair_r)
-    n = len(instance)
-    covered = sorted(x for chain in chains for x in chain)
-    if covered != list(range(n)) or len(chains) != n - msize:
-        raise InternalConsistencyError("chain partition does not cover exactly once")
-    up = instance.up_masks()
-    for chain in chains:
-        for lo, hi in zip(chain, chain[1:]):
-            if not up[lo] >> hi & 1:
-                raise InternalConsistencyError(
-                    f"chain step {lo} -> {hi} is not an order relation"
-                )
-    return ChainPartition(tuple(tuple(c) for c in chains))
 
 
 def _chain_start(

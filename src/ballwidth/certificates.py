@@ -21,10 +21,10 @@ from .combinatorics import (
     Ball,
     Coord,
     GroundParams,
+    LayerProfile,
     SublayerTable,
     _level_coords,
     binomial,
-    build_table,
     largest_sphere_sublayer,
     layer_profile,
     sublayer_size,
@@ -32,7 +32,7 @@ from .combinatorics import (
 )
 from .errors import BudgetExceededError, InternalConsistencyError
 from .flows import FlowNetwork
-from .poset import Element, QuotientDag, quotient_dag
+from .poset import QuotientDag, quotient_dag
 
 CERTIFIED = "CERTIFIED"
 CERTIFIED_STRICT = "CERTIFIED_STRICT"
@@ -111,21 +111,14 @@ def certificate_check(
     for c in target:
         if certificate.coverage.get(c, 0) != sizes[c]:
             return False
-    # every sublayer must be covered at least at the target rate:
-    # N_c / |X_c| >= N_c* / |X_c*|, compared without division
-    for c in coords:
-        n_c = certificate.coverage.get(c, 0)
-        for c_star in target:
-            if n_c * sizes[c_star] < sizes[c] * certificate.coverage.get(c_star, 0):
-                return False
-    return True
+    # the (non-empty) target is covered at rate exactly 1, so meeting its
+    # rate N_c / |X_c| >= N_c* / |X_c*| means covering each sublayer fully
+    return all(certificate.coverage.get(c, 0) >= sizes[c] for c in coords)
 
 
-def _status_for(
-    coverage: dict[Coord, int], table: SublayerTable, dag: QuotientDag, target: int
-) -> str:
+def _status_for(coverage: dict[Coord, int], dag: QuotientDag, target: int) -> str:
     off = [c for c in dag.coords if dag.height_of[c] != target]
-    if off and all(coverage.get(c, 0) >= table.sizes[c] + 1 for c in off):
+    if off and all(coverage.get(c, 0) >= dag.table.sizes[c] + 1 for c in off):
         return CERTIFIED_STRICT
     return CERTIFIED
 
@@ -169,10 +162,7 @@ def _peel_profiles(
 
 
 def certificate_search(
-    dag: QuotientDag,
-    table: SublayerTable,
-    target_height: int,
-    strict: bool = False,
+    dag: QuotientDag, target_height: int, strict: bool = False
 ) -> CertificateVerdict:
     """Search for a covering chain family by feasibility flow.
 
@@ -183,8 +173,6 @@ def certificate_search(
     """
     if not 0 <= target_height <= dag.top_height:
         raise ValueError(f"target height {target_height} outside the diagram")
-    if set(table.sizes) != set(dag.coords):
-        raise ValueError("size table and diagram describe different families")
 
     coords = dag.coords
     index = {c: k for k, c in enumerate(coords)}
@@ -195,7 +183,7 @@ def certificate_search(
 
     low: dict[Coord, int] = {}
     for c in coords:
-        base = table.sizes[c]
+        base = dag.table.sizes[c]
         on_target = dag.height_of[c] == target_height
         low[c] = base if on_target or not strict else base + 1
     inf = sum(low.values()) + 1
@@ -235,9 +223,9 @@ def certificate_search(
     profiles = _peel_profiles(dag, total, edge_flow)
 
     certificate = Certificate(tuple(profiles), coverage, target_height)
-    if not certificate_check(certificate, table, dag):
+    if not certificate_check(certificate, dag.table, dag):
         raise InternalConsistencyError("search produced an invalid certificate")
-    status = _status_for(coverage, table, dag, target_height)
+    status = _status_for(coverage, dag, target_height)
     return CertificateVerdict(
         status,
         certificate,
@@ -247,33 +235,42 @@ def certificate_search(
     )
 
 
+def _ball_layers(
+    params: GroundParams,
+) -> tuple[QuotientDag, LayerProfile, CertificateVerdict | None]:
+    """The ball's diagram and closed-form layer profile.
+
+    The verdict is NOT_APPLICABLE when two layer heights tie, since no
+    single layer can then be certified exactly, and None otherwise.
+    """
+    if params.r > min(params.p, params.q):
+        raise ValueError("certificates need the untruncated regime r <= min(p, q)")
+    dag = quotient_dag(params, Ball())
+    profile = layer_profile(dag.table)
+    tie = None
+    if profile.tie:
+        tie = CertificateVerdict(
+            NOT_APPLICABLE,
+            None,
+            f"largest layer is tied between heights {profile.argmax}",
+        )
+    return dag, profile, tie
+
+
 def certified_width(
     params: GroundParams, strict: bool = False
 ) -> tuple[CertificateVerdict, int]:
     """Certify the ball's largest layer as its width, if possible.
 
-    Returns the verdict plus the largest layer size.  A tie between two
-    layer heights means no single layer can be certified exactly.
+    Returns the verdict plus the largest layer size.
     """
-    if params.r > min(params.p, params.q):
-        raise ValueError("certificates need the untruncated regime r <= min(p, q)")
-    table = build_table(params, Ball())
-    profile = layer_profile(table)
-    if profile.tie:
-        return (
-            CertificateVerdict(
-                NOT_APPLICABLE,
-                None,
-                f"largest layer is tied between heights {profile.argmax}",
-            ),
-            profile.max_size,
-        )
-    dag = quotient_dag(params, Ball())
-    return certificate_search(dag, table, profile.argmax[0], strict), profile.max_size
+    dag, profile, tie = _ball_layers(params)
+    verdict = tie or certificate_search(dag, profile.argmax[0], strict)
+    return verdict, profile.max_size
 
 
 def _zigzag_flow(
-    params: GroundParams, table: SublayerTable, start: Coord
+    params: GroundParams, dag: QuotientDag, start: Coord
 ) -> tuple[dict[tuple[Coord, Coord], int] | None, str]:
     """Route all chains of the zigzag construction, or explain the shortfall.
 
@@ -284,7 +281,7 @@ def _zigzag_flow(
     """
     p, r = params.p, params.r
     i0, j0 = start
-    sizes = table.sizes
+    sizes = dag.table.sizes
     deepest = min(i0, j0)
     flows: dict[tuple[Coord, Coord], int] = {}
 
@@ -373,21 +370,14 @@ def zigzag_certificate(params: GroundParams) -> CertificateVerdict:
     argmax sublayers; the construction either covers every sublayer or
     reports the first shortfall.
     """
-    if params.r > min(params.p, params.q):
-        raise ValueError("certificates need the untruncated regime r <= min(p, q)")
-    table = build_table(params, Ball())
-    profile = layer_profile(table)
-    if profile.tie:
-        return CertificateVerdict(
-            NOT_APPLICABLE,
-            None,
-            f"largest layer is tied between heights {profile.argmax}",
-        )
-    dag = quotient_dag(params, Ball())
+    dag, _, tie = _ball_layers(params)
+    if tie is not None:
+        return tie
+    sizes = dag.table.sizes
 
     if params.r == 0:
         certificate = Certificate(((((0, 0),), 1),), {(0, 0): 1}, 0)
-        if not certificate_check(certificate, table, dag):
+        if not certificate_check(certificate, dag.table, dag):
             raise InternalConsistencyError("trivial certificate failed its check")
         return CertificateVerdict(CERTIFIED, certificate, "single-point ball")
 
@@ -407,7 +397,7 @@ def zigzag_certificate(params: GroundParams) -> CertificateVerdict:
                     )
                     break
         if reason is None:
-            flows, note = _zigzag_flow(params, table, start)
+            flows, note = _zigzag_flow(params, dag, start)
             if flows is None:
                 reason = f"start {start}: {note}"
         if reason is not None:
@@ -427,21 +417,18 @@ def zigzag_certificate(params: GroundParams) -> CertificateVerdict:
             coverage[c] = fout if c == dag.source else fin
 
         target_height = params.r - i0 + j0
-        shortfall = next(
-            (c for c in dag.coords if coverage[c] < table.sizes[c]), None
-        )
+        shortfall = next((c for c in dag.coords if coverage[c] < sizes[c]), None)
         if shortfall is not None:
             failures.append(
                 f"start {start}: sublayer {shortfall} gets {coverage[shortfall]} "
-                f"chains for {table.sizes[shortfall]} elements"
+                f"chains for {sizes[shortfall]} elements"
             )
             continue
         overfull = next(
             (
                 c
                 for c in dag.coords
-                if dag.height_of[c] == target_height
-                and coverage[c] != table.sizes[c]
+                if dag.height_of[c] == target_height and coverage[c] != sizes[c]
             ),
             None,
         )
@@ -453,43 +440,15 @@ def zigzag_certificate(params: GroundParams) -> CertificateVerdict:
 
         profiles = _peel_profiles(dag, coverage[dag.source], flows)
         certificate = Certificate(tuple(profiles), coverage, target_height)
-        if not certificate_check(certificate, table, dag):
+        if not certificate_check(certificate, dag.table, dag):
             raise InternalConsistencyError("zigzag produced an invalid certificate")
-        status = _status_for(coverage, table, dag, target_height)
+        status = _status_for(coverage, dag, target_height)
         note = f"start {start} routes {coverage[dag.source]} chains"
         if failures:
             note += "; rejected " + "; ".join(failures)
         return CertificateVerdict(status, certificate, note)
 
     return CertificateVerdict(INFEASIBLE, None, failures[0])
-
-
-def realize_chain(profile: ChainProfile, params: GroundParams) -> list[Element]:
-    """Instantiate one profile as concrete elements, smallest indices first.
-
-    Restoring steps return the smallest dropped center element; gaining
-    steps take the smallest absent far-side element.
-    """
-    if not profile:
-        raise ValueError("a chain profile cannot be empty")
-    i, j = profile[0]
-    if not (0 <= i <= params.p and 0 <= j <= params.q):
-        raise ValueError(f"profile starts outside the ground set: {profile[0]}")
-    removal = (1 << i) - 1
-    addition = (1 << j) - 1
-    chain = [Element(removal, addition)]
-    for (i, j), (i2, j2) in zip(profile, profile[1:]):
-        step = (i - i2, j2 - j)
-        if step not in ((1, 0), (0, 1), (1, 1)) or not (
-            0 <= i2 <= params.p and 0 <= j2 <= params.q
-        ):
-            raise ValueError(f"profile step ({i}, {j}) -> ({i2}, {j2}) is not a cover")
-        if step[0]:
-            removal &= removal - 1
-        if step[1]:
-            addition |= (addition + 1) & ~addition
-        chain.append(Element(removal, addition))
-    return chain
 
 
 def gk_partition(n: int) -> list[list[int]]:

@@ -145,22 +145,3 @@ def konig_independent(
                 zl |= 1 << u
                 frontier |= 1 << u
     return [x for x in range(n) if zl >> x & 1 and not zr >> x & 1]
-
-
-def chains_from_matching(
-    pair_l: list[int | None], pair_r: list[int | None]
-) -> list[list[int]]:
-    """Follow matched edges into a chain partition (heads are unmatched rights)."""
-    chains: list[list[int]] = []
-    for head in range(len(pair_r)):
-        if pair_r[head] is not None:
-            continue
-        chain = [head]
-        cur: int | None = head
-        while True:
-            cur = pair_l[cur]
-            if cur is None:
-                break
-            chain.append(cur)
-        chains.append(chain)
-    return chains

@@ -21,8 +21,8 @@ from .combinatorics import (
     Family,
     GroundParams,
     Sphere,
+    SublayerTable,
     build_table,
-    family_coords,
 )
 from .errors import BudgetExceededError, CustomPosetError, GradedQuotientError
 
@@ -52,13 +52,14 @@ def subset_of(element: Element, params: GroundParams) -> frozenset[int]:
 
 @dataclass(frozen=True, slots=True)
 class QuotientDag:
-    """The coordinate-level cover diagram of one family."""
+    """The coordinate-level cover diagram of one family, with its sizes."""
 
     coords: list[Coord]
     edges: list[tuple[Coord, Coord]]
     source: Coord
     sink: Coord
     height_of: dict[Coord, int]
+    table: SublayerTable
 
     @property
     def top_height(self) -> int:
@@ -184,7 +185,8 @@ def _family_edges(coords: set[Coord]) -> list[tuple[Coord, Coord]]:
 
 def quotient_dag(params: GroundParams, family: Family) -> QuotientDag:
     """Coordinate diagram with validated grading and unique endpoints."""
-    coord_list = family_coords(params, family)
+    table = build_table(params, family)
+    coord_list = list(table.sizes)
     coords = set(coord_list)
     edges = _family_edges(coords)
 
@@ -221,16 +223,16 @@ def quotient_dag(params: GroundParams, family: Family) -> QuotientDag:
             )
 
     ordered = sorted(coord_list, key=lambda c: (height_of[c], c))
-    return QuotientDag(ordered, edges, source, sink, height_of)
+    return QuotientDag(ordered, edges, source, sink, height_of, table)
 
 
 def _build_family(
     params: GroundParams, family: Family, element_budget: int
 ) -> PosetInstance:
-    table = build_table(params, family)
-    if table.total > element_budget:
-        raise BudgetExceededError(table.total, element_budget)
     dag = quotient_dag(params, family)
+    total = dag.table.total
+    if total > element_budget:
+        raise BudgetExceededError(total, element_budget)
 
     elements: list[Element] = []
     sublayer_of: list[Coord] = []
@@ -243,9 +245,9 @@ def _build_family(
                 elements.append(Element(rm, am))
                 sublayer_of.append(c)
                 height_of.append(h)
-    if len(elements) != table.total:
+    if len(elements) != total:
         raise GradedQuotientError(
-            f"enumerated {len(elements)} elements, expected {table.total}"
+            f"enumerated {len(elements)} elements, expected {total}"
         )
 
     index = {e: k for k, e in enumerate(elements)}

@@ -10,14 +10,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .combinatorics import (
-    Ball,
-    GroundParams,
-    LayerProfile,
-    build_table,
-    profile_from_sizes,
-)
-from .poset import quotient_dag
+from .combinatorics import Ball, GroundParams, LayerProfile, profile_from_sizes
+from .poset import QuotientDag, quotient_dag
 
 SWEEP_COLUMNS = [
     "p",
@@ -36,35 +30,32 @@ SWEEP_COLUMNS = [
 ]
 
 
-def ball_profile(params: GroundParams) -> LayerProfile:
+def ball_profile(dag: QuotientDag) -> LayerProfile:
     """Layer profile from longest-path heights; valid in every regime."""
-    table = build_table(params, Ball())
-    dag = quotient_dag(params, Ball())
     agg: dict[int, int] = {}
     for c in dag.coords:
         h = dag.height_of[c]
-        agg[h] = agg.get(h, 0) + table.sizes[c]
+        agg[h] = agg.get(h, 0) + dag.table.sizes[c]
     return profile_from_sizes(agg)
 
 
 def table_report(params: GroundParams) -> dict:
-    table = build_table(params, Ball())
     dag = quotient_dag(params, Ball())
-    profile = ball_profile(params)
+    profile = ball_profile(dag)
     rows = [
         {
             "i": c[0],
             "j": c[1],
             "height": dag.height_of[c],
-            "size": str(table.sizes[c]),
+            "size": str(dag.table.sizes[c]),
         }
-        for c in sorted(dag.coords, key=lambda c: (dag.height_of[c], c))
+        for c in dag.coords
     ]
     return {
         "p": params.p,
         "q": params.q,
         "r": params.r,
-        "ball_size": str(table.total),
+        "ball_size": str(dag.table.total),
         "largest_layer_height": profile.argmax[0],
         "largest_layer_size": str(profile.max_size),
         "tie": profile.tie,

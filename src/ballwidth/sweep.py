@@ -18,10 +18,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .antichains import (
     DEFAULT_MATCHING_BUDGET,
@@ -31,14 +32,13 @@ from .antichains import (
     unique_by_definition,
     width,
 )
-from .certificates import certified_width, theorem_bound
-from .combinatorics import Ball, GroundParams, build_table
+from .certificates import NOT_APPLICABLE, certificate_search, theorem_bound
+from .combinatorics import Ball, GroundParams
 from .errors import InternalConsistencyError
-from .poset import DEFAULT_ELEMENT_BUDGET, build_ball, build_sphere
+from .poset import DEFAULT_ELEMENT_BUDGET, build_ball, build_sphere, quotient_dag
 from .reports import ball_profile, status_tally
 
 VERIFIED_UNIQUE = "VERIFIED_UNIQUE"
-VERIFIED_SIZE_ONLY = "VERIFIED_SIZE_ONLY"
 TIE = "TIE"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
 OVER_BUDGET = "OVER_BUDGET"
@@ -96,9 +96,9 @@ def _verify(
 ) -> SweepRecord:
     params = GroundParams(p, q, r)
     start = time.perf_counter()
-    table = build_table(params, Ball())
-    profile = ball_profile(params)
-    ball_size = table.total
+    dag = quotient_dag(params, Ball())
+    profile = ball_profile(dag)
+    ball_size = dag.table.total
     in_regime = r <= min(p, q)
 
     width_value: int | None = None
@@ -132,11 +132,13 @@ def _verify(
             if not unique and unique_by_definition(instance, layer, matching_budget):
                 raise InternalConsistencyError("uniqueness engines disagree")
         if in_regime:
-            verdict, _ = certified_width(params)
-            cert_status = verdict.status
+            # the height check above makes this the closed-form profile
+            cert_status = NOT_APPLICABLE
+            if not profile.tie:
+                cert_status = certificate_search(dag, profile.argmax[0]).status
             bound_ok = width_value <= theorem_bound(params)
         sphere_size = sum(
-            table.sizes[c] for c in table.sizes if c[0] + c[1] == min(r, p + q)
+            v for c, v in dag.table.sizes.items() if c[0] + c[1] == min(r, p + q)
         )
         if sphere_size <= element_budget:
             klym = check_klym(build_sphere(params, min(r, p + q), element_budget)).holds
@@ -147,12 +149,8 @@ def _verify(
         status = COUNTEREXAMPLE
     elif profile.tie:
         status = TIE
-    elif unique is False:
-        status = COUNTEREXAMPLE
-    elif unique:
-        status = VERIFIED_UNIQUE
     else:
-        status = VERIFIED_SIZE_ONLY
+        status = VERIFIED_UNIQUE if unique else COUNTEREXAMPLE
 
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return SweepRecord(
@@ -233,6 +231,24 @@ def _verify_args(args: tuple[int, int, int, int, int]) -> SweepRecord:
     return verify_instance(p, q, r, element_budget, matching_budget)
 
 
+def _pooled(pool, work: list) -> Iterator[SweepRecord]:
+    """Records in the order they finish, then the first failure, if any.
+
+    A failing tuple waits for the others, so no finished record is lost;
+    of several failures, the one earliest in sweep order is raised.
+    """
+    futures = {pool.submit(_verify_args, args): k for k, args in enumerate(work)}
+    errors: dict[int, BaseException] = {}
+    for future in as_completed(futures):
+        exc = future.exception()
+        if exc is None:
+            yield future.result()
+        else:
+            errors[futures[future]] = exc
+    if errors:
+        raise errors[min(errors)]
+
+
 def sweep_range(
     p_max: int,
     q_max: int,
@@ -253,7 +269,8 @@ def sweep_range(
     which are verified again and appended (the last line per tuple wins).
     Without resume, a non-empty out_path is refused with ValueError and
     left untouched, so no run duplicates a log.  `jobs` must be at least 1;
-    the pool never outnumbers the CPUs or the tuples left to verify.
+    the pool never outnumbers the CPUs or the tuples left to verify.  A
+    parallel run raises a tuple's error only once the others are logged.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -278,7 +295,7 @@ def sweep_range(
         handle = stack.enter_context(path.open("a")) if path is not None else None
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(_verify_args, work)
+            results = _pooled(pool, work)
         else:
             results = map(_verify_args, work)
         for record in results:

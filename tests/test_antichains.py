@@ -10,7 +10,6 @@ from ballwidth.antichains import (
     flow_width,
     is_unique_max_antichain,
     max_weight_antichain,
-    min_chain_partition,
     unique_by_definition,
     width,
 )
@@ -83,16 +82,6 @@ class TestAgainstBruteForce:
         assert value == width(instance)[0]
         assert len(witness) == value
         assert instance.is_antichain(list(witness.members))
-
-    def test_chain_partition_is_dilworth_sized(self, name, instance, params):
-        lt = independent_order(instance, params)
-        partition = min_chain_partition(instance)
-        assert len(partition) == brute_width(comparability_masks(lt))
-        seen = sorted(x for chain in partition.chains for x in chain)
-        assert seen == list(range(len(instance)))
-        for chain in partition.chains:
-            for a, b in zip(chain, chain[1:]):
-                assert lt[a] >> b & 1
 
     def test_uniqueness_both_routes(self, name, instance, params):
         lt = independent_order(instance, params)

@@ -11,7 +11,6 @@ from ballwidth.certificates import (
     certificate_search,
     certified_width,
     gk_partition,
-    realize_chain,
     theorem_bound,
     zigzag_certificate,
 )
@@ -23,7 +22,7 @@ from ballwidth.combinatorics import (
     sublayer_size,
 )
 from ballwidth.errors import BudgetExceededError
-from ballwidth.poset import build_ball, leq, quotient_dag, subset_of
+from ballwidth.poset import build_ball, quotient_dag
 
 from helpers import pascal_binomial
 
@@ -107,7 +106,7 @@ class TestCertificateCheck:
 class TestCertificateSearch:
     def test_tiny_ball_is_strictly_certified(self, tiny):
         table, dag = tiny
-        verdict = certificate_search(dag, table, 2)
+        verdict = certificate_search(dag, 2)
         assert verdict.status == CERTIFIED_STRICT
         assert verdict.certificate.profiles == ((TINY_PROFILE, 2),)
         assert verdict.certificate.coverage == {(1, 0): 2, (0, 0): 2, (0, 1): 2}
@@ -115,7 +114,7 @@ class TestCertificateSearch:
 
     def test_impossible_target_reports_the_cut(self, tiny):
         table, dag = tiny
-        verdict = certificate_search(dag, table, 0)
+        verdict = certificate_search(dag, 0)
         assert verdict.status == INFEASIBLE
         assert verdict.certificate is None
         assert verdict.diagnostics == (
@@ -124,12 +123,9 @@ class TestCertificateSearch:
         )
 
     def test_target_height_validation(self, tiny):
-        table, dag = tiny
+        _, dag = tiny
         with pytest.raises(ValueError):
-            certificate_search(dag, table, 3)
-        other = build_table(GroundParams(2, 2, 2))
-        with pytest.raises(ValueError, match="different families"):
-            certificate_search(dag, other, 2)
+            certificate_search(dag, 3)
 
     @pytest.mark.parametrize(
         "p,q,r",
@@ -141,7 +137,7 @@ class TestCertificateSearch:
         profile = layer_profile(table)
         assert not profile.tie, "corpus must use strict largest layers"
         dag = quotient_dag(params, Ball())
-        verdict = certificate_search(dag, table, profile.argmax[0])
+        verdict = certificate_search(dag, profile.argmax[0])
         assert verdict.status in (CERTIFIED, CERTIFIED_STRICT)
         assert certificate_check(verdict.certificate, table, dag)
         # a chain family covering every layer at the target rate pins the
@@ -248,39 +244,6 @@ class TestZigzagCertificate:
         table = build_table(params)
         dag = quotient_dag(params, Ball())
         assert certificate_check(verdict.certificate, table, dag)
-
-
-class TestRealizeChain:
-    def test_reference_chain(self):
-        chain = realize_chain(TINY_PROFILE, TINY)
-        assert [sorted(subset_of(e, TINY)) for e in chain] == [[], [1], [1, 2]]
-
-    def test_diagonal_steps(self):
-        params = GroundParams(5, 8, 4)
-        chain = realize_chain(((3, 0), (2, 1), (1, 2), (0, 3)), params)
-        assert [e.coord for e in chain] == [(3, 0), (2, 1), (1, 2), (0, 3)]
-        for a, b in zip(chain, chain[1:]):
-            assert leq(a, b) and a != b
-
-    def test_realizes_every_searched_profile(self):
-        params = GroundParams(5, 8, 4)
-        verdict, _ = certified_width(params)
-        for profile, _ in verdict.certificate.profiles:
-            chain = realize_chain(profile, params)
-            assert [e.coord for e in chain] == list(profile)
-            subs = [subset_of(e, params) for e in chain]
-            for a, b in zip(subs, subs[1:]):
-                assert a < b
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            realize_chain((), TINY)
-        with pytest.raises(ValueError, match="outside"):
-            realize_chain(((5, 0),), GroundParams(3, 3, 3))
-        with pytest.raises(ValueError, match="not a cover"):
-            realize_chain(((2, 0), (0, 0)), GroundParams(3, 3, 3))
-        with pytest.raises(ValueError, match="not a cover"):
-            realize_chain(((0, 0), (0, 1)), GroundParams(3, 0, 0))
 
 
 class TestGkPartition:

@@ -2,7 +2,8 @@ import csv
 import io
 import json
 
-from ballwidth.combinatorics import GroundParams
+from ballwidth.combinatorics import Ball, GroundParams
+from ballwidth.poset import quotient_dag
 from ballwidth.reports import (
     SWEEP_COLUMNS,
     ball_profile,
@@ -29,11 +30,11 @@ REFERENCE_SIZES = {
 
 class TestBallProfile:
     def test_closed_form_regime(self):
-        profile = ball_profile(GroundParams(5, 8, 4))
+        profile = ball_profile(quotient_dag(GroundParams(5, 8, 4), Ball()))
         assert profile.max_size == 321 and profile.argmax == [4]
 
     def test_truncated_regime_uses_longest_paths(self):
-        profile = ball_profile(GroundParams(2, 5, 4))
+        profile = ball_profile(quotient_dag(GroundParams(2, 5, 4), Ball()))
         # checked by hand: e.g. height 4 holds X(0,2) = 10 plus X(1,3) = 20
         assert profile.heights == {0: 1, 1: 7, 2: 21, 3: 25, 4: 30, 5: 10, 6: 5}
         assert profile.argmax == [4] and profile.max_size == 30

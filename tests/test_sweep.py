@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import multiprocessing
+import sys
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,30 @@ from ballwidth.sweep import SweepRecord, sweep_range, sweep_tuples, verify_insta
 
 def canonical(records):
     return [dataclasses.replace(r, elapsed_ms=0) for r in records]
+
+
+class InProcessPool:
+    """A stand-in process pool that runs every call in this process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 class TestVerifyInstance:
@@ -274,18 +301,9 @@ class TestJobs:
 
         started = []
 
-        class RecordingPool:
+        class RecordingPool(InProcessPool):
             def __init__(self, max_workers):
                 started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
 
         monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: cpus)
@@ -313,3 +331,64 @@ class TestErrorsNameTheirTuple:
     def test_through_sweep_range(self, broken_klym):
         with pytest.raises(InternalConsistencyError, match=r"\(1, 1, 1\)"):
             sweep_range(1, 1)
+
+
+class TestParallelFailureKeepsFinishedRecords:
+    # (1, 2, 1) is the second of the 14 tuples of sweep_range(3, 3)
+    @pytest.fixture
+    def planted(self, monkeypatch):
+        import ballwidth.sweep as sweep_module
+
+        genuine = sweep_module._verify
+
+        def planted(p, q, r, element_budget, matching_budget):
+            if (p, q, r) == (1, 2, 1):
+                raise InternalConsistencyError("planted")
+            return genuine(p, q, r, element_budget, matching_budget)
+
+        monkeypatch.setattr(sweep_module, "_verify", planted)
+        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+        return sweep_module
+
+    def check_log(self, tmp_path):
+        log = tmp_path / "records.jsonl"
+        with pytest.raises(InternalConsistencyError, match=r"\(1, 2, 1\): planted"):
+            sweep_range(3, 3, jobs=2, out_path=log)
+        keys = [SweepRecord.from_line(s).key() for s in log.read_text().splitlines()]
+        assert sorted(keys) == [t for t in sweep_tuples(3, 3) if t != (1, 2, 1)]
+
+    def test_in_process_pool(self, planted, monkeypatch, tmp_path):
+        monkeypatch.setattr(planted, "ProcessPoolExecutor", InProcessPool)
+        self.check_log(tmp_path)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers see the planted failure only when forked",
+    )
+    def test_process_pool(self, planted, tmp_path):
+        self.check_log(tmp_path)
+
+
+class TestBuildsPerTuple:
+    @pytest.mark.parametrize("key", [(3, 4, 2), (2, 2, 1)], ids=["strict", "tied"])
+    def test_one_diagram_per_family(self, monkeypatch, key):
+        # the sweep's ball diagram, plus the one each of build_ball and
+        # build_sphere makes; each diagram holds the family's only table
+        from ballwidth import combinatorics, poset
+
+        calls = {"quotient_dag": 0, "build_table": 0}
+        for owner, name in ((poset, "quotient_dag"), (combinatorics, "build_table")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.split(".")[0] != "ballwidth":
+                    continue
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
+        verify_instance(*key)
+        assert calls == {"quotient_dag": 3, "build_table": 3}
