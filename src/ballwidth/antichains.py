@@ -358,48 +358,3 @@ def is_unique_max_antichain(
         )
     return True
 
-
-def unique_by_definition(
-    instance: PosetInstance,
-    candidate,
-    matching_budget: int = DEFAULT_MATCHING_BUDGET,
-) -> bool:
-    """Uniqueness straight from the definition, one element at a time.
-
-    `candidate` is the only maximum antichain iff no element outside it
-    extends to another one, i.e. 1 + width(incomparables of x) < width
-    for every x outside.  Much slower than the cut route; kept as an
-    independent recheck.
-    """
-    members = set(
-        candidate.members if isinstance(candidate, AntichainWitness) else candidate
-    )
-    w, _ = width(instance, matching_budget)
-    if not instance.is_antichain(sorted(members)) or len(members) != w:
-        raise ValueError("candidate must be a maximum antichain")
-    up = instance.up_masks()
-    down = instance.down_masks()
-    n = len(instance)
-    full = (1 << n) - 1
-    for x in range(n):
-        if x in members:
-            continue
-        free = full & ~(up[x] | down[x] | 1 << x)
-        sub: list[int] = []
-        rest = free
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            sub.append(bit.bit_length() - 1)
-        place = {y: k for k, y in enumerate(sub)}
-        adj = [0] * len(sub)
-        for k, y in enumerate(sub):
-            inside = up[y] & free
-            while inside:
-                bit = inside & -inside
-                inside ^= bit
-                adj[k] |= 1 << place[bit.bit_length() - 1]
-        _, _, msize = hopcroft_karp(adj)
-        if 1 + (len(sub) - msize) >= w:
-            return False
-    return True

@@ -66,6 +66,8 @@ def _element_budget(args: argparse.Namespace) -> int:
 def _instance_from_args(args: argparse.Namespace, sphere: bool = False):
     """Poset selected on the command line: a ball, a sphere, or a file."""
     budget = _element_budget(args)
+    if not sphere:  # the width engine matches every element it is given
+        budget = min(budget, _matching_budget(args))
     if args.custom_poset is not None:
         document = json.loads(Path(args.custom_poset).read_text())
         return load_custom_poset(document, budget), None

@@ -114,6 +114,41 @@ def build_table(params: GroundParams, family: Family = Ball()) -> SublayerTable:
     return SublayerTable(params, family, sizes)
 
 
+def heaviest_sublayer_chain(table: SublayerTable) -> tuple[int, int]:
+    """The heaviest antichain of a ball's sublayers: (weight, how many).
+
+    Sublayer (i, j) lies below (i', j') exactly when i' <= i and j' >= j,
+    so the antichains of sublayers are the sequences increasing strictly in
+    both i and j, weighted by the sizes C(p, i) * C(q, j).  Comparability
+    graphs are perfect, so the ball's width is the optimum of its fractional
+    antichain LP; S_p x S_q is transitive on each sublayer, so averaging an
+    optimum over the group makes it constant on sublayers: the weight is the
+    width.  The least and the greatest maximum antichains are invariant
+    under the group, so they are sublayer sequences: the maximum antichain
+    is unique iff the count is 1.  A prefix-maximum DP in O(sublayers).
+    """
+    if isinstance(table.family, Sphere):
+        raise ValueError("the sublayer-chain width needs a ball table")
+    params = table.params
+    cols = range(min(params.q, params.r) + 1)
+    # done[j]: the heaviest sequences ending in the rows so far at a column
+    # <= j, as (weight, count); before the first row only the empty one
+    done = [(0, 1)] * len(cols)
+    for i in range(min(params.p, params.r) + 1):
+        # run: the heaviest ending in row i; left: the old done[j - 1]
+        run, left = (0, 0), (0, 1)
+        for j in cols:
+            if (i, j) in table.sizes:
+                run = _heavier(run, (left[0] + table.sizes[(i, j)], left[1]))
+            left, done[j] = done[j], _heavier(done[j], run)
+    return done[-1]
+
+
+def _heavier(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    # a and b count disjoint sets of sequences, so on a tie the counts add
+    return max(a, b) if a[0] != b[0] else (a[0], a[1] + b[1])
+
+
 @dataclass(frozen=True, slots=True)
 class LayerProfile:
     """Total size per height, with the maximising heights."""

@@ -89,7 +89,6 @@ class PosetInstance:
     height_of: list[int]
     sublayer_of: list[Coord] | None
     _up: list[int] | None = field(default=None, repr=False)
-    _down: list[int] | None = field(default=None, repr=False)
     _lower: list[list[int]] | None = field(default=None, repr=False)
     _matching: tuple[list[int], list[int], int] | None = field(
         default=None, repr=False
@@ -116,21 +115,6 @@ class PosetInstance:
                 up[x] = acc
             self._up = up
         return self._up
-
-    def down_masks(self) -> list[int]:
-        """Strict down-set of every element, as index bit sets."""
-        if self._down is None:
-            up = self.up_masks()
-            down = [0] * len(self.elements)
-            for x, mask in enumerate(up):
-                bit_x = 1 << x
-                rest = mask
-                while rest:
-                    bit = rest & -rest
-                    down[bit.bit_length() - 1] |= bit_x
-                    rest ^= bit
-            self._down = down
-        return self._down
 
     def lower_covers(self) -> list[list[int]]:
         if self._lower is None:

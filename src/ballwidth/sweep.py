@@ -2,8 +2,8 @@
 
 One record per (p, q, r): the ball is built, the width is computed by two
 independent engines, the largest layer is compared against it, uniqueness
-is decided from the flow cuts (and rechecked from the definition before a
-counterexample is ever declared), and the certificate, normalized-weight
+is decided from the flow cuts and rechecked against the tie count of the
+heaviest chain on the sublayer grid, and the certificate, normalized-weight
 and theorem-bound checks are run where they apply.
 
 Records append to a JSON-lines file as they finish, so an interrupted
@@ -29,11 +29,10 @@ from .antichains import (
     check_klym,
     flow_width,
     is_unique_max_antichain,
-    unique_by_definition,
     width,
 )
 from .certificates import NOT_APPLICABLE, certificate_search, theorem_bound
-from .combinatorics import Ball, GroundParams
+from .combinatorics import Ball, GroundParams, heaviest_sublayer_chain
 from .errors import InternalConsistencyError
 from .poset import DEFAULT_ELEMENT_BUDGET, build_ball, build_sphere, quotient_dag
 from .reports import ball_profile, status_tally
@@ -118,9 +117,11 @@ def _verify(
                     )
         width_value, _ = width(instance, matching_budget)
         flow_value, _ = flow_width(instance)
-        if flow_value != width_value:
+        grid_value, grid_count = heaviest_sublayer_chain(dag.table)
+        if not width_value == flow_value == grid_value:
             raise InternalConsistencyError(
-                f"matching width {width_value} vs flow width {flow_value}"
+                f"matching width {width_value} vs flow width {flow_value} "
+                f"vs sublayer chain weight {grid_value}"
             )
         if width_value == profile.max_size and not profile.tie:
             layer = [
@@ -129,7 +130,7 @@ def _verify(
                 if instance.height_of[k] == profile.argmax[0]
             ]
             unique = is_unique_max_antichain(instance, layer, matching_budget)
-            if not unique and unique_by_definition(instance, layer, matching_budget):
+            if unique != (grid_count == 1):
                 raise InternalConsistencyError("uniqueness engines disagree")
         if in_regime:
             # the height check above makes this the closed-form profile
@@ -137,11 +138,8 @@ def _verify(
             if not profile.tie:
                 cert_status = certificate_search(dag, profile.argmax[0]).status
             bound_ok = width_value <= theorem_bound(params)
-        sphere_size = sum(
-            v for c, v in dag.table.sizes.items() if c[0] + c[1] == min(r, p + q)
-        )
-        if sphere_size <= element_budget:
-            klym = check_klym(build_sphere(params, min(r, p + q), element_budget)).holds
+        # the top shell of a ball within budget fits it too; build_sphere checks
+        klym = check_klym(build_sphere(params, min(r, p + q), element_budget)).holds
 
     if width_value is None:
         status = OVER_BUDGET

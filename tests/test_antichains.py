@@ -10,10 +10,9 @@ from ballwidth.antichains import (
     flow_width,
     is_unique_max_antichain,
     max_weight_antichain,
-    unique_by_definition,
     width,
 )
-from ballwidth.combinatorics import GroundParams
+from ballwidth.combinatorics import GroundParams, build_table, heaviest_sublayer_chain
 from ballwidth.errors import BudgetExceededError, InternalConsistencyError
 from ballwidth.flows import FlowNetwork
 from ballwidth.poset import build_ball, build_sphere, load_custom_poset, subset_of
@@ -89,7 +88,11 @@ class TestAgainstBruteForce:
         value, witness = width(instance)
         expect = len(maxes) == 1
         assert is_unique_max_antichain(instance, witness) == expect
-        assert unique_by_definition(instance, witness) == expect
+        if name.startswith("ball"):
+            # on balls the sublayer grid's tie count is the second route
+            grid_value, grid_count = heaviest_sublayer_chain(build_table(params))
+            assert grid_value == value
+            assert (grid_count == 1) == expect
         if expect:
             assert set(witness.members) == set(maxes[0])
 
@@ -164,7 +167,6 @@ class TestRandomPosets:
 
         maxes = brute_all_max_antichains(cmp_mask)
         assert is_unique_max_antichain(instance, witness) == (len(maxes) == 1)
-        assert unique_by_definition(instance, witness) == (len(maxes) == 1)
 
         weights = data.draw(
             st.lists(st.integers(0, 5), min_size=n, max_size=n)
@@ -188,8 +190,6 @@ class TestGuards:
             is_unique_max_antichain(instance, [0, 1])  # comparable pair
         with pytest.raises(ValueError):
             is_unique_max_antichain(instance, [2])  # not maximum
-        with pytest.raises(ValueError):
-            unique_by_definition(instance, [2])
 
     def test_klym_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -94,6 +94,24 @@ class TestWidth:
         rc, _, err = run(["width", "--custom-poset", str(doc), "--budget", "2"], capsys)
         assert rc == 2 and "budget exceeded" in err
 
+    def test_budget_bounds_ball_before_building(self, capsys, monkeypatch):
+        # 137,980 elements: within the element budget, past the matching one
+        import ballwidth.poset as poset_module
+
+        def planted(*args):
+            raise AssertionError("the ball was materialised")
+
+        monkeypatch.setattr(poset_module, "masks_with_popcount", planted)
+        rc, _, err = run(["width", "-p", "10", "-q", "10", "-r", "7"], capsys)
+        assert rc == 2 and "budget exceeded" in err
+
+    def test_matching_budget_bounds_custom_poset(self, capsys, tmp_path):
+        # the relations are only read once the element count is in budget
+        doc = tmp_path / "poset.json"
+        doc.write_text(json.dumps({"elements": 20001, "relations": "none"}))
+        rc, _, err = run(["width", "--custom-poset", str(doc)], capsys)
+        assert rc == 2 and "budget exceeded" in err
+
 
 class TestKlym:
     def test_sphere_json(self, capsys):

@@ -14,6 +14,7 @@ from ballwidth.combinatorics import (
     check_multiset_ratio_monotone,
     check_ratio_monotone,
     family_coords,
+    heaviest_sublayer_chain,
     largest_sphere_sublayer,
     layer_profile,
     multiset_layer_sizes,
@@ -135,6 +136,25 @@ class TestLayerProfile:
     def test_profile_from_sizes_rejects_empty(self):
         with pytest.raises(ValueError):
             profile_from_sizes({})
+
+
+class TestHeaviestSublayerChain:
+    @pytest.mark.parametrize(
+        "key,expect",
+        [
+            ((5, 8, 4), (321, 1)),
+            ((9, 9, 5), (3357, 2)),  # the two tied layers
+            ((12, 12, 4), (4501, 1)),
+            ((3, 0, 2), (3, 2)),  # one column: two sublayers of size 3
+            ((1, 1, 0), (1, 1)),
+        ],
+    )
+    def test_reference_values(self, key, expect):
+        assert heaviest_sublayer_chain(build_table(GroundParams(*key))) == expect
+
+    def test_sphere_rejected(self):
+        with pytest.raises(ValueError):
+            heaviest_sublayer_chain(build_table(GroundParams(2, 3, 2), Sphere(2)))
 
 
 class TestRatio:

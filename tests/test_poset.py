@@ -124,14 +124,6 @@ class TestBuildSphereAndBand:
 
 
 class TestPosetInstance:
-    def test_up_and_down_masks_are_transposes(self):
-        inst = build_ball(GroundParams(2, 3, 2))
-        up, down = inst.up_masks(), inst.down_masks()
-        n = len(inst)
-        for x in range(n):
-            for y in range(n):
-                assert bool(up[x] >> y & 1) == bool(down[y] >> x & 1)
-
     def test_up_masks_are_strict_containment(self):
         params = GroundParams(2, 3, 2)
         inst = build_ball(params)

@@ -333,6 +333,41 @@ class TestErrorsNameTheirTuple:
             sweep_range(1, 1)
 
 
+class TestPlantedDisagreement:
+    # (3, 4, 2) is VERIFIED_UNIQUE: width 13, one maximum antichain
+    @pytest.fixture
+    def sweep_module(self):
+        import ballwidth.sweep as sweep_module
+
+        return sweep_module
+
+    def check(self):
+        with pytest.raises(InternalConsistencyError, match=r"at \(3, 4, 2\): "):
+            verify_instance(3, 4, 2)
+
+    def test_grid_count(self, sweep_module, monkeypatch):
+        genuine = sweep_module.heaviest_sublayer_chain
+        monkeypatch.setattr(
+            sweep_module, "heaviest_sublayer_chain", lambda t: (genuine(t)[0], 2)
+        )
+        self.check()
+
+    def test_grid_weight(self, sweep_module, monkeypatch):
+        genuine = sweep_module.heaviest_sublayer_chain
+        monkeypatch.setattr(
+            sweep_module,
+            "heaviest_sublayer_chain",
+            lambda t: (genuine(t)[0] + 1, genuine(t)[1]),
+        )
+        self.check()
+
+    def test_cut_uniqueness(self, sweep_module, monkeypatch):
+        monkeypatch.setattr(
+            sweep_module, "is_unique_max_antichain", lambda *args: False
+        )
+        self.check()
+
+
 class TestParallelFailureKeepsFinishedRecords:
     # (1, 2, 1) is the second of the 14 tuples of sweep_range(3, 3)
     @pytest.fixture
