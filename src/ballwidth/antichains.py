@@ -249,47 +249,35 @@ def flow_width(instance: PosetInstance) -> tuple[int, AntichainWitness]:
 def _level_pair_start(
     instance: PosetInstance, layers: list[list[int]], weights: list[int], scale: int
 ) -> tuple[list[int], list[list[int]]] | None:
-    """A minimum flow glued from one transport per pair of adjacent layers.
+    """A minimum flow that splits each element's weight evenly over its covers.
 
-    Each transport sends `weights[x]` from every x in layer h along its
-    covers to absorb `weights[y]` at every y in layer h + 1.  When every
-    cover climbs exactly one layer, only top elements are maximal and every
-    transport moves all `scale` units, the transports agree on each
-    element's throughput, `weights[x]`, and so glue into one flow of value
-    `scale`.  A full layer weighs `scale` too, so that flow is minimum.
-    Returns None whenever a hypothesis or a transport fails.
+    Every x sends `weights[x] // len(covers[x])` along each upper cover.
+    When every cover climbs exactly one layer, only top elements are
+    maximal, every share divides exactly and every element above the bottom
+    layer receives exactly its weight, this is a flow of value `scale`: all
+    of it leaves the bottom layer, which weighs `scale`.  A full layer
+    weighs `scale` too, so that flow is minimum.  On a sphere the covers
+    between adjacent layers are biregular, so by the regular-covering lemma
+    (Kleitman, 1974) the split lands exactly whenever `scale` makes every
+    share integral.  Returns None whenever a hypothesis fails.
     """
     covers = instance.covers
     height_of = instance.height_of
     top = len(layers) - 1
     if top == 0:
         return None
+    inflow = [0] * len(instance)
+    cover_flow: list[list[int]] = []
     for x, ys in enumerate(covers):
         h = height_of[x]
-        if not ys and h < top:
+        share, rest = divmod(weights[x], len(ys) or 1)
+        if rest or (not ys and h < top) or any(height_of[y] != h + 1 for y in ys):
             return None
-        if any(height_of[y] != h + 1 for y in ys):
-            return None
-
-    cover_flow: list[list[int]] = [[] for _ in covers]
-    local = [0] * len(instance)
-    for lower, upper in zip(layers, layers[1:]):
-        base = 2 + len(lower)
-        for j, y in enumerate(upper):
-            local[y] = base + j
-        net = FlowNetwork(base + len(upper))
-        for i, x in enumerate(lower):
-            net.add_edge(0, 2 + i, weights[x])
-        slots = [
-            [net.add_edge(2 + i, local[y], weights[x]) for y in covers[x]]
-            for i, x in enumerate(lower)
-        ]
-        for j, y in enumerate(upper):
-            net.add_edge(base + j, 1, weights[y])
-        if net.max_flow(0, 1) != scale:
-            return None
-        for x, xs in zip(lower, slots):
-            cover_flow[x] = [net.flow_on(e) for e in xs]
+        cover_flow.append([share] * len(ys))
+        for y in ys:
+            inflow[y] += share
+    if any(inflow[y] != weights[y] for layer in layers[1:] for y in layer):
+        return None
     return list(weights), cover_flow
 
 
@@ -297,20 +285,25 @@ def check_klym(instance: PosetInstance) -> KlymVerdict:
     """Does every antichain satisfy sum of 1/|level| <= 1?
 
     Levels are the height layers.  Scaling each element by
-    lcm(level sizes)/|its level| turns the question into an integer
-    antichain weight bound: the heaviest antichain, read off a minimum
-    flow with those weights as lower bounds, must weigh at most the scale.
+    scale/|its level| turns the question into an integer antichain weight
+    bound: the heaviest antichain, read off a minimum flow with those
+    weights as lower bounds, must weigh at most the scale.
 
-    Level-pair reduction (after Kleitman, 1974): in a graded poset whose
-    covers all join consecutive heights, the bound holds exactly when each
-    pair of adjacent levels has the normalized matching property, i.e. a
-    transport of every lower element's weight onto the upper level's
-    weights along covers.  Those transports glue into a minimum flow, so
-    the min-flow starts at its optimum and its cancel phase does no work.
-    If a cover skips a level, an element below the top is maximal, there
-    is a single level, or a transport falls short (the bound fails), the
-    min-flow starts from first-cover chains instead and finds the heaviest
-    antichain itself.  Both routes yield the same extreme-cut witness.
+    The scale is lcm(|L_h| * d_h) over the levels, where d_h is the up-degree
+    shared by every element of level h, and 1 on the top level or when the
+    degrees differ; so a custom poset's weights stay near lcm(|L_h|).  With
+    it the even split of `_level_pair_start` is integral.  Regular-covering
+    lemma (Kleitman, 1974; Engel, Sperner Theory, 1997): when the covers
+    between each pair of adjacent levels are biregular, as on a sphere,
+    where level h is one sublayer, splitting each element's weight evenly
+    over its covers is an exact transport onto the next level, so the
+    min-flow starts at its optimum and its cancel phase does no work.
+    Otherwise it starts from first-cover chains and finds the heaviest
+    antichain itself.  The witness is the t-side extreme cut, the elements
+    reachable from t in the residual graph, which is the same for every
+    minimum flow; scaling all lower bounds by one constant leaves the
+    minimum cuts unchanged.  So neither the start nor the scale changes the
+    verdict, the reduced sum or the witness.
     """
     n = len(instance)
     if n == 0:
@@ -318,7 +311,11 @@ def check_klym(instance: PosetInstance) -> KlymVerdict:
     layers: list[list[int]] = [[] for _ in range(max(instance.height_of) + 1)]
     for x, h in enumerate(instance.height_of):
         layers[h].append(x)
-    scale = lcm(*map(len, layers))
+    spans = [len(layers[-1])]
+    for layer in layers[:-1]:
+        degrees = {len(instance.covers[x]) or 1 for x in layer}
+        spans.append(len(layer) * (degrees.pop() if len(degrees) == 1 else 1))
+    scale = lcm(*spans)
     weights = [scale // len(layers[h]) for h in instance.height_of]
     value, net = _min_flow(
         instance, weights, _level_pair_start(instance, layers, weights, scale)

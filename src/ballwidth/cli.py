@@ -59,28 +59,25 @@ def _params(args: argparse.Namespace) -> GroundParams:
     return GroundParams(args.p, args.q, args.r)
 
 
-def _element_budget(args: argparse.Namespace) -> int:
-    return args.budget if args.budget is not None else DEFAULT_ELEMENT_BUDGET
+def _positive(text: str) -> int:
+    """argparse type for --budget: refused before anything is built."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _instance_from_args(args: argparse.Namespace, sphere: bool = False):
     """Poset selected on the command line: a ball, a sphere, or a file."""
-    budget = _element_budget(args)
-    if not sphere:  # the width engine matches every element it is given
-        budget = min(budget, _matching_budget(args))
     if args.custom_poset is not None:
         document = json.loads(Path(args.custom_poset).read_text())
-        return load_custom_poset(document, budget), None
+        return load_custom_poset(document, args.budget), None
     if args.p is None or args.q is None or args.r is None:
         raise ValueError("need either -p/-q/-r or --custom-poset")
     params = _params(args)
     if sphere:
-        return build_sphere(params, params.r, budget), params
-    return build_ball(params, budget), params
-
-
-def _matching_budget(args: argparse.Namespace) -> int:
-    return args.budget if args.budget is not None else DEFAULT_MATCHING_BUDGET
+        return build_sphere(params, params.r, args.budget), params
+    return build_ball(params, args.budget), params
 
 
 def _run_table(args: argparse.Namespace) -> int:
@@ -97,7 +94,7 @@ def _run_table(args: argparse.Namespace) -> int:
 
 def _run_width(args: argparse.Namespace) -> int:
     instance, params = _instance_from_args(args)
-    value, witness = width(instance, _matching_budget(args))
+    value, witness = width(instance, args.budget)
     members: list = list(witness.members)
     if params is not None:
         rendered = [sorted(subset_of(instance.elements[k], params)) for k in members]
@@ -193,8 +190,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
         r_max=args.r_max,
         n_max=args.n_max,
         general=args.general,
-        element_budget=_element_budget(args),
-        matching_budget=_matching_budget(args),
+        element_budget=args.budget or DEFAULT_ELEMENT_BUDGET,
+        matching_budget=args.budget or DEFAULT_MATCHING_BUDGET,
         out_path=args.out,
         resume=args.resume,
         jobs=args.jobs,
@@ -269,20 +266,21 @@ def _build_parser() -> argparse.ArgumentParser:
     wid = subs.add_parser("width", help="width and a maximum antichain")
     _add_pqr(wid, required=False)
     wid.add_argument("--custom-poset", help="JSON file with elements/relations")
-    wid.add_argument("--budget", type=int, help="size cap for build and matching")
+    wid.add_argument("--budget", type=_positive, help="size cap for build and matching")
     wid.add_argument("--format", choices=("json", "text"), default="text")
     wid.add_argument("--out")
-    wid.set_defaults(run=_run_width)
+    # the width engine matches every element it builds, so one cap bounds both
+    wid.set_defaults(run=_run_width, budget=DEFAULT_MATCHING_BUDGET)
 
     klym = subs.add_parser(
         "klym", help="normalized antichain bound on the sphere (or a custom poset)"
     )
     _add_pqr(klym, required=False)
     klym.add_argument("--custom-poset", help="JSON file with elements/relations")
-    klym.add_argument("--budget", type=int, help="size cap for the poset build")
+    klym.add_argument("--budget", type=_positive, help="size cap for the poset build")
     klym.add_argument("--format", choices=("json", "text"), default="text")
     klym.add_argument("--out")
-    klym.set_defaults(run=_run_klym)
+    klym.set_defaults(run=_run_klym, budget=DEFAULT_ELEMENT_BUDGET)
 
     certify = subs.add_parser("certify", help="chain-family certificate for the ball")
     _add_pqr(certify)
@@ -302,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--general", action="store_true", help="include radii beyond min(p, q)"
     )
-    sweep.add_argument("--budget", type=int, help="size cap for build and matching")
+    sweep.add_argument("--budget", type=_positive, help="size cap for build and matching")
     sweep.add_argument(
         "--out", help="JSON-lines record log; must be new or empty unless --resume"
     )

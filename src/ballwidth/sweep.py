@@ -266,12 +266,15 @@ def sweep_range(
     and skipped, except OVER_BUDGET records made under smaller budgets,
     which are verified again and appended (the last line per tuple wins).
     Without resume, a non-empty out_path is refused with ValueError and
-    left untouched, so no run duplicates a log.  `jobs` must be at least 1;
-    the pool never outnumbers the CPUs or the tuples left to verify.  A
-    parallel run raises a tuple's error only once the others are logged.
+    left untouched, so no run duplicates a log.  `jobs` and both budgets
+    must be at least 1; the pool never outnumbers the CPUs or the tuples
+    left to verify.  A parallel run raises a tuple's error only once the
+    others are logged.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    budgets = {"element_budget": element_budget, "matching_budget": matching_budget}
+    for name, value in {"jobs": jobs, **budgets}.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     wanted = sweep_tuples(p_max, q_max, r_max, n_max, general)
     done: dict[tuple[int, int, int], SweepRecord] = {}
     path = Path(out_path) if out_path is not None else None

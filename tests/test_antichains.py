@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -203,7 +205,7 @@ class TestGuards:
 
 
 def klym_both_routes(instance):
-    """(level-pair verdict, forced-fallback verdict, level-pair start used?)"""
+    """(even-split verdict, forced-fallback verdict, even-split start used?)"""
     real = antichains_module._level_pair_start
     used = []
 
@@ -286,9 +288,68 @@ class TestLevelPairStart:
         monkeypatch.setattr(FlowNetwork, "_augment", augment)
         monkeypatch.setattr(FlowNetwork, "max_flow", max_flow)
         assert check_klym(instance).holds
-        cancels = [c for c in calls if c[0] == sink]
-        assert cancels == [[sink, 0, 0]]
-        assert len(calls) == 1 + max(instance.height_of)  # one per level pair
+        # the even split builds no network: the only flow is the cancel
+        assert calls == [[sink, 0, 0]]
+
+    def test_uneven_up_degrees_take_the_fallback(self):
+        # 0 < 2, 0 < 3, 1 < 3: normalized matching holds, but 0 has two
+        # covers and 1 has one, so no even split lands exactly
+        instance = load_custom_poset(
+            {"elements": 4, "relations": [[0, 2], [0, 3], [1, 3]]}
+        )
+        layers = [[0, 1], [2, 3]]
+        assert antichains_module._level_pair_start(instance, layers, [1] * 4, 2) is None
+        warm, cold, used = klym_both_routes(instance)
+        assert not used
+        assert warm == cold
+        assert warm.holds and warm.max_lym_sum == 1
+
+    @pytest.mark.parametrize(
+        "instance,scale",
+        [
+            # layers {0, 1}, {2, 3, 4}, {5, 6}; each lower layer mixes degrees
+            # 1 and 2, so the scale stays lcm(2, 3, 2)
+            (
+                load_custom_poset(
+                    {
+                        "elements": 7,
+                        "relations": [[0, 2], [0, 3], [1, 4], [2, 5], [3, 5], [3, 6], [4, 6]],
+                    }
+                ),
+                6,
+            ),
+            # S_2[3, 3]: layer sizes 3, 9, 3 with up-degrees 6 and 2, so the
+            # scale is lcm(3 * 6, 9 * 2, 3), not lcm(3, 9, 3)
+            (build_sphere(GroundParams(3, 3, 2), 2), 18),
+        ],
+        ids=["mixed up-degrees", "sphere"],
+    )
+    def test_scale_multiplies_only_uniform_up_degrees(self, instance, scale):
+        scales = []
+        real = antichains_module._level_pair_start
+
+        def spy(instance, layers, weights, scale):
+            scales.append(scale)
+            return real(instance, layers, weights, scale)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(antichains_module, "_level_pair_start", spy)
+            check_klym(instance)
+        assert scales == [scale]
+
+    @pytest.mark.parametrize(
+        "p,q,m,digest",
+        [
+            (9, 9, 5, "f9555cd243abfe913267344ce40d94b9350a6ba08298e4ff4c893070f99b397e"),
+            (12, 12, 4, "59f84889e940fe8e3e7add018d3c10a5851d10d9cd8f54ef6b5442456b8ad194"),
+        ],
+    )
+    def test_large_sphere_witnesses_are_pinned(self, p, q, m, digest):
+        verdict = check_klym(build_sphere(GroundParams(p, q, m), m))
+        assert verdict.holds
+        assert verdict.max_lym_sum == 1
+        members = json.dumps(list(verdict.witness.members)).encode()
+        assert hashlib.sha256(members).hexdigest() == digest
 
     def test_broken_start_raises(self):
         instance = build_sphere(GroundParams(3, 3, 2), 2)

@@ -291,6 +291,32 @@ class TestTheorem:
         assert json.loads(out)["bound"] == "8"
 
 
+class TestBudgetBelowOne:
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["width", "-p", "2", "-q", "3", "-r", "2"],
+            ["klym", "-p", "2", "-q", "3", "-r", "2"],
+            ["sweep", "--p-max", "2", "--q-max", "2"],
+        ],
+        ids=["width", "klym", "sweep"],
+    )
+    def test_refused_before_building(self, capsys, monkeypatch, tmp_path, command, budget):
+        import ballwidth.cli as cli_module
+
+        def planted(*args, **kwargs):
+            raise AssertionError("work started under a budget below 1")
+
+        for name in ("build_ball", "build_sphere", "load_custom_poset", "sweep_range"):
+            monkeypatch.setattr(cli_module, name, planted)
+        log = tmp_path / "log.jsonl"
+        extra = ["--out", str(log)] if command[0] == "sweep" else []
+        rc, out, err = run(command + extra + ["--budget", budget], capsys)
+        assert rc == 2 and out == "" and "at least 1" in err
+        assert not log.exists()
+
+
 class TestErrorPaths:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"], capsys)[0] == 2

@@ -291,6 +291,14 @@ class TestJobs:
         with pytest.raises(ValueError, match="jobs"):
             sweep_range(2, 2, jobs=jobs)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    @pytest.mark.parametrize("name", ["element_budget", "matching_budget"])
+    def test_budgets_below_one_are_rejected(self, name, budget, tmp_path):
+        log = tmp_path / "log.jsonl"
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            sweep_range(2, 2, out_path=log, **{name: budget})
+        assert not log.exists()
+
     @pytest.mark.parametrize(
         "cpus,jobs,expect",
         [(3, 64, [3]), (64, 64, [5]), (8, 2, [2]), (1, 4, [])],
