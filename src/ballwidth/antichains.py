@@ -5,7 +5,9 @@ Two engines that must agree:
 * a bipartite matching over the comparability relation (Dilworth through
   Koenig's theorem) gives the width and a maximum antichain;
 * a minimum flow with per-element lower bounds gives the heaviest
-  antichain under arbitrary nonnegative weights.
+  antichain under arbitrary nonnegative weights.  On a ball or sphere it
+  starts at an optimum, so both extreme cuts are read from the start and
+  no element-level network is built; they are those of every minimum flow.
 
 Whenever both run on the same instance the values are cross-checked and a
 disagreement raises InternalConsistencyError, never a wrong answer.
@@ -18,11 +20,12 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import BudgetExceededError, InternalConsistencyError
-from .flows import FlowNetwork
+from .flows import FlowNetwork, reach
 from .matching import hopcroft_karp, konig_independent
 from .poset import PosetInstance
 
 DEFAULT_MATCHING_BUDGET = 20000
+Sides = tuple[set[int], set[int]]  # residual t side and s side of a flow network
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,53 @@ def _check_start(
             )
 
 
+def _residual_sides(
+    instance: PosetInstance,
+    weights: list[int],
+    through: list[int],
+    cover_flow: list[list[int]],
+) -> Sides | None:
+    """The t side and s side of a start's residual graph; None if t reaches s.
+
+    Its arcs are those of `_min_flow`'s network before the cancel, with
+    in(x) = 2x, out(x) = 2x + 1, s = 2n, t = 2n + 1: in -> out, out(x) ->
+    in(y) on a cover, s -> in and out -> t are always open; out -> in iff
+    the throughput exceeds the weight, other reverse arcs iff they carry flow.
+    """
+    n = len(instance)
+    covers, lowers = instance.covers, instance.lower_covers()
+    s, t = 2 * n, 2 * n + 1
+    up = [[2 * y for y, f in zip(ys, fs) if f] for ys, fs in zip(covers, cover_flow)]
+    down: list[list[int]] = [[] for _ in range(n)]
+    for x, ins in enumerate(up):
+        for v in ins:
+            down[v >> 1].append(2 * x + 1)
+    slack = [f > w for f, w in zip(through, weights)]
+
+    def heads(u: int) -> list[int]:
+        if u == s:
+            return [2 * x for x in range(n) if not lowers[x]]
+        if u == t:
+            return [2 * x + 1 for x in range(n) if not covers[x] and through[x]]
+        x = u >> 1
+        if u & 1:
+            return [2 * y for y in covers[x]] + [u - 1] * slack[x] + [t] * (not covers[x])
+        return [u + 1, *down[x]] + [s] * (not lowers[x] and through[x] > 0)
+
+    def tails(v: int) -> list[int]:
+        if v == s:
+            return [2 * x for x in range(n) if not lowers[x] and through[x]]
+        if v == t:
+            return [2 * x + 1 for x in range(n) if not covers[x]]
+        x = v >> 1
+        if v & 1:
+            return [v - 1, *up[x]] + [t] * (not covers[x] and through[x] > 0)
+        return [2 * y + 1 for y in lowers[x]] + [v + 1] * slack[x] + [s] * (not lowers[x])
+
+    t_side = reach(t, heads)
+    return None if s in t_side else (t_side, reach(s, tails))
+
+
 def _min_flow(
     instance: PosetInstance,
     weights: list[int],
@@ -147,8 +197,14 @@ def _min_flow(
     chain start is used.  Any start is checked before use; one that breaks
     conservation or a lower bound raises InternalConsistencyError.
 
-    Returns (value, network) with the network left in its final residual
-    state so callers can read cut sides off it.
+    If t does not reach s in the start's residual graph, the start is
+    minimum and no network is built: its sides are what the network's
+    `residual_reachable(t)` and `residual_coreachable(s)` would return.
+    Otherwise the network cancels flow from t back to s.  The sides are
+    the same for every minimum flow, so the start never changes a cut.
+
+    Returns (value, (t_side, s_side), (through, cover_flow)): the residual
+    sides of the final flow, and that flow in the start's form.
     """
     n = len(instance)
     covers = instance.covers
@@ -158,15 +214,19 @@ def _min_flow(
     del start
     _check_start(instance, weights, through, cover_flow)
     total = sum(f for x, f in enumerate(through) if not lowers[x])
+    sides = _residual_sides(instance, weights, through, cover_flow)
+    if sides is not None:
+        return total, sides, (through, cover_flow)
 
     inf = 4 * max(total, sum(weights)) + 8
     net = FlowNetwork(2 * n + 2)
     for x in range(n):
         f = through[x]
         net.add_pair(2 * x, 2 * x + 1, inf - f, f - weights[x])
-    for x in range(n):
-        for y, f in zip(covers[x], cover_flow[x]):
-            net.add_pair(2 * x + 1, 2 * y, inf - f, f)
+    slots = [
+        [net.add_pair(2 * x + 1, 2 * y, inf - f, f) for y, f in zip(ys, cover_flow[x])]
+        for x, ys in enumerate(covers)
+    ]
     del cover_flow
     for x in range(n):
         f = through[x]
@@ -177,33 +237,27 @@ def _min_flow(
 
     # cancelling flow from t back to s minimises the total
     value = total - net.max_flow(t, s)
-    return value, net
+    # slot 2x is element x's pair, which carries its throughput above its weight
+    through = [w + net.flow_on(2 * x) for x, w in enumerate(weights)]
+    cover_flow = [[net.flow_on(e) for e in row] for row in slots]
+    sides = net.residual_reachable(t), net.residual_coreachable(s)
+    return value, sides, (through, cover_flow)
 
 
-def _cut_antichains(
-    net: FlowNetwork, n: int, weights: list[int]
-) -> tuple[list[int], list[int]]:
-    """The two extreme maximum cuts, read as antichains."""
-    t_side = net.residual_reachable(2 * n + 1)
-    s_side = net.residual_coreachable(2 * n)
-    from_t = [
-        x
-        for x in range(n)
-        if weights[x] > 0 and 2 * x + 1 in t_side and 2 * x not in t_side
-    ]
-    from_s = [
-        x
-        for x in range(n)
-        if weights[x] > 0 and 2 * x in s_side and 2 * x + 1 not in s_side
-    ]
+def _cut_antichains(sides: Sides, weights: list[int]) -> tuple[list[int], list[int]]:
+    """The two extreme maximum cuts of a minimum flow, read as antichains."""
+    t_side, s_side = sides
+    heavy = [x for x, w in enumerate(weights) if w > 0]
+    from_t = [x for x in heavy if 2 * x + 1 in t_side and 2 * x not in t_side]
+    from_s = [x for x in heavy if 2 * x in s_side and 2 * x + 1 not in s_side]
     return from_t, from_s
 
 
 def _heaviest_from(
-    instance: PosetInstance, weights: list[int], value: int, net: FlowNetwork
+    instance: PosetInstance, weights: list[int], value: int, sides: Sides
 ) -> AntichainWitness:
     """The cut witness of a finished min-flow, checked against its value."""
-    members, _ = _cut_antichains(net, len(instance), weights)
+    members, _ = _cut_antichains(sides, weights)
     if sum(weights[x] for x in members) != value or not instance.is_antichain(members):
         raise InternalConsistencyError(
             f"flow value {value} does not match its own cut witness"
@@ -223,16 +277,58 @@ def max_weight_antichain(
     if n == 0:
         return 0, AntichainWitness(())
 
-    value, net = _min_flow(instance, weights)
-    return value, _heaviest_from(instance, weights, value, net)
+    value, sides, _ = _min_flow(instance, weights)
+    return value, _heaviest_from(instance, weights, value, sides)
+
+
+def _grid_start(instance: PosetInstance) -> tuple[int, tuple] | None:
+    """(L, start): a minimum flow of the sublayer grid, lifted onto the elements.
+
+    The grid's cells are the sublayers X_c.  Every element of X_c must send
+    d(c -> c') covers into each X_c', in the same order, else (and on
+    custom posets) this returns None.  The grid's min-flow (T, F) with
+    demand |X_c| on c comes from `_min_flow` on the cell poset.  With
+    L = lcm(|X_c|, |X_c| d(c -> c')) each element of X_c carries
+    T_c L / |X_c| and sends F(c -> c') L / (|X_c| d(c -> c')) along each
+    cover into X_c', all integral, and weighs L.  On a ball or sphere
+    S_p x S_q is transitive on each sublayer, so covers between sublayers
+    are biregular and the lift conserves flow.  Its value, L times the
+    grid's, is L times the width (orbit averaging: comparability graphs
+    are perfect, Lovasz 1972), so the lift is minimum.
+    """
+    if instance.sublayer_of is None:
+        return None
+    index: dict = {}
+    cell = [index.setdefault(c, len(index)) for c in instance.sublayer_of]
+    rows: dict[int, list[int]] = {}  # the cells each cover of X_c enters, in order
+    for x, ys in enumerate(instance.covers):
+        row = [cell[y] for y in ys]
+        if rows.setdefault(cell[x], row) != row:
+            return None
+    k = len(index)
+    sizes = [cell.count(c) for c in range(k)]
+    heights = [instance.height_of[cell.index(c)] for c in range(k)]
+    ups = [sorted(set(rows[c])) for c in range(k)]
+    grid = PosetInstance(list(range(k)), ups, heights, None)
+    _, _, (through, flow) = _min_flow(grid, sizes)
+    scale = lcm(*sizes, *(sizes[c] * rows[c].count(e) for c in range(k) for e in ups[c]))
+    row_flows = [
+        [flow[c][ups[c].index(e)] * scale // (sizes[c] * rows[c].count(e)) for e in rows[c]]
+        for c in range(k)
+    ]
+    lifted = [through[c] * scale // sizes[c] for c in cell]
+    return scale, (lifted, [row_flows[c] for c in cell])
 
 
 def _unit_extremes(instance: PosetInstance) -> tuple[int, list[int], list[int]]:
     if instance._unit_cuts is None:
-        n = len(instance)
-        weights = [1] * n
-        value, net = _min_flow(instance, weights)
-        from_t, from_s = _cut_antichains(net, n, weights)
+        scale, start = _grid_start(instance) or (1, None)
+        weights = [scale] * len(instance)
+        value, sides, _ = _min_flow(instance, weights, start)
+        if value % scale:
+            raise InternalConsistencyError(f"flow value {value} not a multiple of {scale}")
+        value //= scale
+        from_t, from_s = _cut_antichains(sides, weights)
         for members in (from_t, from_s):
             if len(members) != value or not instance.is_antichain(members):
                 raise InternalConsistencyError("extreme cut is not a valid witness")
@@ -241,7 +337,11 @@ def _unit_extremes(instance: PosetInstance) -> tuple[int, list[int], list[int]]:
 
 
 def flow_width(instance: PosetInstance) -> tuple[int, AntichainWitness]:
-    """Width via the flow engine; independent of the matching route."""
+    """Width via the flow engine; independent of the matching route.
+
+    A built family starts from `_grid_start`'s lift at scale L, whose
+    value is L times the width and whose cuts are those of unit weights.
+    """
     value, from_t, _ = _unit_extremes(instance)
     return value, AntichainWitness(tuple(from_t))
 
@@ -296,10 +396,10 @@ def check_klym(instance: PosetInstance) -> KlymVerdict:
     lemma (Kleitman, 1974; Engel, Sperner Theory, 1997): when the covers
     between each pair of adjacent levels are biregular, as on a sphere,
     where level h is one sublayer, splitting each element's weight evenly
-    over its covers is an exact transport onto the next level, so the
-    min-flow starts at its optimum and its cancel phase does no work.
-    Otherwise it starts from first-cover chains and finds the heaviest
-    antichain itself.  The witness is the t-side extreme cut, the elements
+    over its covers is an exact transport onto the next level: the
+    min-flow starts at its optimum and builds no network.  Otherwise it
+    starts from first-cover chains, and cancels from them whenever they
+    are not minimum.  The witness is the t-side extreme cut, the elements
     reachable from t in the residual graph, which is the same for every
     minimum flow; scaling all lower bounds by one constant leaves the
     minimum cuts unchanged.  So neither the start nor the scale changes the
@@ -317,10 +417,10 @@ def check_klym(instance: PosetInstance) -> KlymVerdict:
         spans.append(len(layer) * (degrees.pop() if len(degrees) == 1 else 1))
     scale = lcm(*spans)
     weights = [scale // len(layers[h]) for h in instance.height_of]
-    value, net = _min_flow(
+    value, sides, _ = _min_flow(
         instance, weights, _level_pair_start(instance, layers, weights, scale)
     )
-    witness = _heaviest_from(instance, weights, value, net)
+    witness = _heaviest_from(instance, weights, value, sides)
     return KlymVerdict(value <= scale, Fraction(value, scale), witness)
 
 

@@ -9,6 +9,15 @@ which keeps every run reproducible.
 from __future__ import annotations
 
 
+def reach(start: int, step) -> set[int]:
+    """Nodes reachable from `start`, where `step(u)` lists u's out-neighbours."""
+    seen, frontier = {start}, {start}
+    while frontier:
+        frontier = {v for u in frontier for v in step(u)} - seen
+        seen |= frontier
+    return seen
+
+
 class FlowNetwork:
     def __init__(self, n: int) -> None:
         self.n = n
@@ -97,31 +106,11 @@ class FlowNetwork:
 
     def residual_reachable(self, src: int) -> set[int]:
         """Nodes reachable from src along positive residual capacity."""
-        seen = {src}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for e in self.adj[u]:
-                    v = self.to[e]
-                    if self.cap[e] > 0 and v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return seen
+        to, cap = self.to, self.cap
+        return reach(src, lambda u: [to[e] for e in self.adj[u] if cap[e] > 0])
 
     def residual_coreachable(self, dst: int) -> set[int]:
         """Nodes that can reach dst along positive residual capacity."""
-        seen = {dst}
-        frontier = [dst]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for e in self.adj[u]:
-                    # slot e runs u -> to[e]; its partner carries to[e] -> u
-                    v = self.to[e]
-                    if self.cap[e ^ 1] > 0 and v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return seen
+        # slot e runs u -> to[e]; its partner carries to[e] -> u
+        to, cap = self.to, self.cap
+        return reach(dst, lambda u: [to[e] for e in self.adj[u] if cap[e ^ 1] > 0])

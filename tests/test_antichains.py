@@ -272,24 +272,23 @@ class TestLevelPairStart:
 
     def test_cancel_phase_makes_no_augmentation(self, monkeypatch):
         instance = build_sphere(GroundParams(6, 6, 3), 3)
-        sink = 2 * len(instance) + 1
-        real_max_flow, real_augment = FlowNetwork.max_flow, FlowNetwork._augment
-        calls = []  # [source, augmentations, value] per max_flow call
+        built, calls = [], []
+        real_init, real_max_flow = FlowNetwork.__init__, FlowNetwork.max_flow
 
-        def augment(self, s, t, cursor):
-            calls[-1][1] += 1
-            return real_augment(self, s, t, cursor)
+        def init(self, n):
+            built.append(n)
+            real_init(self, n)
 
         def max_flow(self, s, t):
-            calls.append([s, 0])
-            calls[-1].append(real_max_flow(self, s, t))
-            return calls[-1][2]
+            calls.append(s)
+            return real_max_flow(self, s, t)
 
-        monkeypatch.setattr(FlowNetwork, "_augment", augment)
+        monkeypatch.setattr(FlowNetwork, "__init__", init)
         monkeypatch.setattr(FlowNetwork, "max_flow", max_flow)
         assert check_klym(instance).holds
-        # the even split builds no network: the only flow is the cancel
-        assert calls == [[sink, 0, 0]]
+        # the even split is minimum: both cuts are read from it, no network
+        assert calls == []
+        assert built == []
 
     def test_uneven_up_degrees_take_the_fallback(self):
         # 0 < 2, 0 < 3, 1 < 3: normalized matching holds, but 0 has two
@@ -385,3 +384,135 @@ class TestLevelPairStart:
         cover_flow[x][k] -= 1
         with pytest.raises(InternalConsistencyError):
             antichains_module._min_flow(instance, weights, (through, cover_flow))
+
+
+def network_route(fn, instance):
+    """`fn(instance)` from the chain start, cancelled on a built network."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_grid_start", "_level_pair_start", "_residual_sides"):
+            mp.setattr(antichains_module, name, lambda *args: None)
+        return fn(instance)
+
+
+def small_families():
+    """Every ball and sphere with p + q <= 9, truncated radii included."""
+    for p in range(1, 10):
+        for q in range(10 - p):
+            for r in range(p + q + 1):
+                params = GroundParams(p, q, r)
+                yield (p, q, r), build_ball(params)
+                yield (p, q, r), build_sphere(params, r)
+
+
+class TestGridStart:
+    def test_matches_the_network_route(self):
+        extremes = antichains_module._unit_extremes
+        count = 0
+        for key, instance in small_families():
+            cuts = extremes(instance)
+            instance._unit_cuts = None
+            assert cuts == network_route(extremes, instance), key
+            assert check_klym(instance) == network_route(check_klym, instance), key
+            count += 1
+        assert count == 2 * sum(p + q + 1 for p in range(1, 10) for q in range(10 - p))
+
+    @pytest.mark.parametrize(
+        "p,q,r,from_t,from_s",
+        [
+            (
+                9, 9, 5,
+                "5b5df26bf46cc9e8f5d665fb76ec8fb8aa10675f1822ba2fb1b0a921061eadcf",
+                "1942c737de06e4d1c9db4bb1395f28d1799610ced6f86084218928733a712776",
+            ),
+            (
+                12, 12, 4,
+                "6c7ef000ff751f14eef644fff5c0a06efded7dc9b7aee8065b7db30dafb4089b",
+                "6c7ef000ff751f14eef644fff5c0a06efded7dc9b7aee8065b7db30dafb4089b",
+            ),
+        ],
+    )
+    def test_large_ball_cuts_are_pinned(self, p, q, r, from_t, from_s):
+        instance = build_ball(GroundParams(p, q, r))
+        value, t_cut, s_cut = antichains_module._unit_extremes(instance)
+        assert value == len(t_cut) == len(s_cut)
+        for cut, digest in ((t_cut, from_t), (s_cut, from_s)):
+            assert hashlib.sha256(json.dumps(cut).encode()).hexdigest() == digest
+
+    def test_non_minimum_start_builds_the_network(self, monkeypatch):
+        instance = build_ball(GroundParams(2, 3, 2))
+        weights = [1] * len(instance)
+        start = antichains_module._chain_start(instance, weights)
+        assert antichains_module._residual_sides(instance, weights, *start) is None
+        calls = []
+        real_max_flow = FlowNetwork.max_flow
+
+        def max_flow(self, s, t):
+            calls.append(s)
+            return real_max_flow(self, s, t)
+
+        monkeypatch.setattr(FlowNetwork, "max_flow", max_flow)
+        lt = independent_order(instance, GroundParams(2, 3, 2))
+        value, witness = max_weight_antichain(instance, weights)
+        assert calls == [2 * len(instance) + 1]
+        assert value == len(witness) == brute_max_weight(comparability_masks(lt), weights)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_direct_read_equals_the_network(self, data):
+        n = data.draw(st.integers(1, 7))
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda t: t[0] < t[1]
+                ),
+                max_size=10,
+            )
+        )
+        weights = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        instance = load_custom_poset(
+            {"elements": n, "relations": [list(t) for t in pairs]}
+        )
+        min_flow, sides_of = antichains_module._min_flow, antichains_module._residual_sides
+        value, sides, final = network_route(lambda i: min_flow(i, weights), instance)
+        # the network's final flow is minimum, so the direct read must see it
+        assert sides_of(instance, weights, *final) == sides
+        chain = sides_of(instance, weights, *antichains_module._chain_start(instance, weights))
+        assert chain is None or chain == sides
+        assert min_flow(instance, weights)[:2] == (value, sides)
+
+    def test_lifted_share_off_by_one_raises(self):
+        instance = build_ball(GroundParams(3, 3, 2))
+        scale, (through, cover_flow) = antichains_module._grid_start(instance)
+        x = next(x for x, flows in enumerate(cover_flow) if flows)
+        broken = [list(flows) for flows in cover_flow]
+        broken[x][0] += 1
+        with pytest.raises(InternalConsistencyError):
+            antichains_module._min_flow(instance, [scale] * len(instance), (through, broken))
+
+    def test_value_off_the_scale_raises(self, monkeypatch):
+        real = antichains_module._min_flow
+
+        def off_by_one(*args):
+            value, sides, flow = real(*args)
+            return value + 1, sides, flow
+
+        monkeypatch.setattr(antichains_module, "_min_flow", off_by_one)
+        with pytest.raises(InternalConsistencyError):
+            flow_width(build_ball(GroundParams(3, 3, 2)))
+
+    def test_custom_poset_keeps_the_chain_start(self, monkeypatch):
+        ball = build_ball(GroundParams(2, 3, 2))
+        relations = [[x, y] for x, ys in enumerate(ball.covers) for y in ys]
+        custom = load_custom_poset({"elements": len(ball), "relations": relations})
+        assert antichains_module._grid_start(ball) is not None
+        assert antichains_module._grid_start(custom) is None
+        seen = []
+        real = antichains_module._min_flow
+
+        def spy(instance, weights, start=None):
+            seen.append((set(weights), start))
+            return real(instance, weights, start)
+
+        monkeypatch.setattr(antichains_module, "_min_flow", spy)
+        assert flow_width(custom) == flow_width(ball)
+        assert seen[0] == ({1}, None)
