@@ -5,9 +5,10 @@ Two engines that must agree:
 * a bipartite matching over the comparability relation (Dilworth through
   Koenig's theorem) gives the width and a maximum antichain;
 * a minimum flow with per-element lower bounds gives the heaviest
-  antichain under arbitrary nonnegative weights.  On a ball or sphere it
-  starts at an optimum, so both extreme cuts are read from the start and
-  no element-level network is built; they are those of every minimum flow.
+  antichain under arbitrary nonnegative weights.  Under weights constant on
+  each sublayer it starts from the sublayer grid's min-flow, lifted onto
+  the elements; on a ball or sphere that lift is an optimum, so both
+  extreme cuts are read from it and no element-level network is built.
 
 Whenever both run on the same instance the values are cross-checked and a
 disagreement raises InternalConsistencyError, never a wrong answer.
@@ -75,26 +76,28 @@ def _chain_start(
 ) -> tuple[list[int], list[list[int]]]:
     """A feasible flow along first-cover chains, in `_min_flow`'s start form.
 
-    Each element's demand runs down to a minimal element and up to a
-    maximal one.  The routes are summed height by height, so no arc is
-    ever keyed: `down[x]` is what reaches x along its first lower cover,
-    `up[x]` what leaves x along its first upper cover.
+    Height by height, each element passes what reaches it along its first
+    upper cover (`passed`); any shortfall below its weight climbs to it from
+    a minimal element along first lower covers (`climb`).  On a chain the
+    value is the largest weight, so the start is minimum.
     """
     covers = instance.covers
     lowers = instance.lower_covers()
     order = sorted(range(len(instance)), key=instance.height_of.__getitem__)
-    down = list(weights)
+    inflow = [0] * len(instance)
+    passed = [0] * len(instance)
+    for x in order:
+        passed[x] = max(inflow[x], weights[x])
+        if covers[x]:
+            inflow[covers[x][0]] += passed[x]
+    climb = [p - f for p, f in zip(passed, inflow)]  # each element's shortfall
     for x in reversed(order):
         if lowers[x]:
-            down[lowers[x][0]] += down[x]
-    up = list(weights)
-    for x in order:
-        if covers[x]:
-            up[covers[x][0]] += up[x]
-    through = [d + u - w for d, u, w in zip(down, up, weights)]
+            climb[lowers[x][0]] += climb[x]
+    through = [f + c for f, c in zip(inflow, climb)]
     cover_flow = [
         [
-            (up[x] if k == 0 else 0) + (down[y] if lowers[y][0] == x else 0)
+            (passed[x] if k == 0 else 0) + (climb[y] if lowers[y][0] == x else 0)
             for k, y in enumerate(ys)
         ]
         for x, ys in enumerate(covers)
@@ -281,53 +284,59 @@ def max_weight_antichain(
     return value, _heaviest_from(instance, weights, value, sides)
 
 
-def _grid_start(instance: PosetInstance) -> tuple[int, tuple] | None:
-    """(L, start): a minimum flow of the sublayer grid, lifted onto the elements.
+def _grid_start(instance: PosetInstance, weights: list[int]) -> tuple[int, tuple] | None:
+    """(L, start): a minimum flow of the cell grid, lifted onto the elements.
 
-    The grid's cells are the sublayers X_c.  Every element of X_c must send
-    d(c -> c') covers into each X_c', in the same order, else (and on
-    custom posets) this returns None.  The grid's min-flow (T, F) with
-    demand |X_c| on c comes from `_min_flow` on the cell poset.  With
-    L = lcm(|X_c|, |X_c| d(c -> c')) each element of X_c carries
-    T_c L / |X_c| and sends F(c -> c') L / (|X_c| d(c -> c')) along each
-    cover into X_c', all integral, and weighs L.  On a ball or sphere
-    S_p x S_q is transitive on each sublayer, so covers between sublayers
-    are biregular and the lift conserves flow.  Its value, L times the
-    grid's, is L times the width (orbit averaging: comparability graphs
-    are perfect, Lovasz 1972), so the lift is minimum.
+    The cells X_c are the sublayers, or a custom poset's height layers.
+    Every element of X_c must weigh w_c, send d(c -> c') covers into each
+    X_c' in the same order, and take its lower covers from the same cells,
+    else this returns None; so covers between cells are biregular.  The
+    grid's min-flow (T, F) with demand w_c |X_c| comes from `_min_flow` on
+    the cell poset.  With L = lcm(|X_c|, |X_c| d(c -> c')) each element of
+    X_c carries T_c L / |X_c|, sends F(c -> c') L / (|X_c| d(c -> c')) along
+    each cover into X_c' and weighs w_c L, all integral.  On a ball or
+    sphere S_p x S_q is transitive on each sublayer, so the lift's value is
+    L times the heaviest antichain (orbit averaging: comparability graphs
+    are perfect, Lovasz 1972) and the lift is minimum.
     """
-    if instance.sublayer_of is None:
-        return None
+    cells = instance.sublayer_of if instance.sublayer_of is not None else instance.height_of
     index: dict = {}
-    cell = [index.setdefault(c, len(index)) for c in instance.sublayer_of]
-    rows: dict[int, list[int]] = {}  # the cells each cover of X_c enters, in order
-    for x, ys in enumerate(instance.covers):
-        row = [cell[y] for y in ys]
+    cell = [index.setdefault(c, len(index)) for c in cells]
+    k = len(index)
+    sizes, heights = [0] * k, [0] * k
+    rows: dict[int, tuple] = {}  # (weight, upper-cover cells, lower-cover cells)
+    for x, (ys, zs) in enumerate(zip(instance.covers, instance.lower_covers())):
+        row = (weights[x], [cell[y] for y in ys], [cell[z] for z in zs])
         if rows.setdefault(cell[x], row) != row:
             return None
-    k = len(index)
-    sizes = [cell.count(c) for c in range(k)]
-    heights = [instance.height_of[cell.index(c)] for c in range(k)]
-    ups = [sorted(set(rows[c])) for c in range(k)]
+        sizes[cell[x]] += 1
+        heights[cell[x]] = instance.height_of[x]
+    outs = [rows[c][1] for c in range(k)]
+    ups = [sorted(set(out)) for out in outs]
     grid = PosetInstance(list(range(k)), ups, heights, None)
-    _, _, (through, flow) = _min_flow(grid, sizes)
-    scale = lcm(*sizes, *(sizes[c] * rows[c].count(e) for c in range(k) for e in ups[c]))
+    _, _, (through, flow) = _min_flow(grid, [rows[c][0] * sizes[c] for c in range(k)])
+    scale = lcm(*sizes, *(sizes[c] * outs[c].count(e) for c in range(k) for e in ups[c]))
     row_flows = [
-        [flow[c][ups[c].index(e)] * scale // (sizes[c] * rows[c].count(e)) for e in rows[c]]
-        for c in range(k)
+        [flow[c][ups[c].index(e)] * scale // (sizes[c] * out.count(e)) for e in out]
+        for c, out in enumerate(outs)
     ]
     lifted = [through[c] * scale // sizes[c] for c in cell]
     return scale, (lifted, [row_flows[c] for c in cell])
 
 
+def _lifted_min_flow(instance: PosetInstance, weights: list[int]) -> tuple[int, Sides]:
+    """`_min_flow`'s value and sides, from the grid lift at scale L if there is one."""
+    scale, start = _grid_start(instance, weights) or (1, None)
+    value, sides, _ = _min_flow(instance, [w * scale for w in weights], start)
+    if value % scale:
+        raise InternalConsistencyError(f"flow value {value} not a multiple of {scale}")
+    return value // scale, sides
+
+
 def _unit_extremes(instance: PosetInstance) -> tuple[int, list[int], list[int]]:
     if instance._unit_cuts is None:
-        scale, start = _grid_start(instance) or (1, None)
-        weights = [scale] * len(instance)
-        value, sides, _ = _min_flow(instance, weights, start)
-        if value % scale:
-            raise InternalConsistencyError(f"flow value {value} not a multiple of {scale}")
-        value //= scale
+        weights = [1] * len(instance)
+        value, sides = _lifted_min_flow(instance, weights)
         from_t, from_s = _cut_antichains(sides, weights)
         for members in (from_t, from_s):
             if len(members) != value or not instance.is_antichain(members):
@@ -339,87 +348,37 @@ def _unit_extremes(instance: PosetInstance) -> tuple[int, list[int], list[int]]:
 def flow_width(instance: PosetInstance) -> tuple[int, AntichainWitness]:
     """Width via the flow engine; independent of the matching route.
 
-    A built family starts from `_grid_start`'s lift at scale L, whose
-    value is L times the width and whose cuts are those of unit weights.
+    It starts from `_grid_start`'s lift at scale L, whose value is L times
+    the width and whose cuts are those of unit weights.
     """
     value, from_t, _ = _unit_extremes(instance)
     return value, AntichainWitness(tuple(from_t))
 
 
-def _level_pair_start(
-    instance: PosetInstance, layers: list[list[int]], weights: list[int], scale: int
-) -> tuple[list[int], list[list[int]]] | None:
-    """A minimum flow that splits each element's weight evenly over its covers.
-
-    Every x sends `weights[x] // len(covers[x])` along each upper cover.
-    When every cover climbs exactly one layer, only top elements are
-    maximal, every share divides exactly and every element above the bottom
-    layer receives exactly its weight, this is a flow of value `scale`: all
-    of it leaves the bottom layer, which weighs `scale`.  A full layer
-    weighs `scale` too, so that flow is minimum.  On a sphere the covers
-    between adjacent layers are biregular, so by the regular-covering lemma
-    (Kleitman, 1974) the split lands exactly whenever `scale` makes every
-    share integral.  Returns None whenever a hypothesis fails.
-    """
-    covers = instance.covers
-    height_of = instance.height_of
-    top = len(layers) - 1
-    if top == 0:
-        return None
-    inflow = [0] * len(instance)
-    cover_flow: list[list[int]] = []
-    for x, ys in enumerate(covers):
-        h = height_of[x]
-        share, rest = divmod(weights[x], len(ys) or 1)
-        if rest or (not ys and h < top) or any(height_of[y] != h + 1 for y in ys):
-            return None
-        cover_flow.append([share] * len(ys))
-        for y in ys:
-            inflow[y] += share
-    if any(inflow[y] != weights[y] for layer in layers[1:] for y in layer):
-        return None
-    return list(weights), cover_flow
-
-
 def check_klym(instance: PosetInstance) -> KlymVerdict:
     """Does every antichain satisfy sum of 1/|level| <= 1?
 
-    Levels are the height layers.  Scaling each element by
-    scale/|its level| turns the question into an integer antichain weight
-    bound: the heaviest antichain, read off a minimum flow with those
-    weights as lower bounds, must weigh at most the scale.
-
-    The scale is lcm(|L_h| * d_h) over the levels, where d_h is the up-degree
-    shared by every element of level h, and 1 on the top level or when the
-    degrees differ; so a custom poset's weights stay near lcm(|L_h|).  With
-    it the even split of `_level_pair_start` is integral.  Regular-covering
-    lemma (Kleitman, 1974; Engel, Sperner Theory, 1997): when the covers
-    between each pair of adjacent levels are biregular, as on a sphere,
-    where level h is one sublayer, splitting each element's weight evenly
-    over its covers is an exact transport onto the next level: the
-    min-flow starts at its optimum and builds no network.  Otherwise it
-    starts from first-cover chains, and cancels from them whenever they
-    are not minimum.  The witness is the t-side extreme cut, the elements
-    reachable from t in the residual graph, which is the same for every
-    minimum flow; scaling all lower bounds by one constant leaves the
-    minimum cuts unchanged.  So neither the start nor the scale changes the
-    verdict, the reduced sum or the witness.
+    Levels are the height layers.  Scaling each element by scale/|its
+    level|, with scale = lcm(|L_h|), turns the question into an integer
+    antichain weight bound: the heaviest antichain, read off a minimum flow
+    with those weights as lower bounds, must weigh at most the scale.  The
+    weights are constant on sublayers, so the flow starts from
+    `_grid_start`'s lift, else from first-cover chains.  On a sphere each
+    level is one sublayer and the grid is a path, so the lift is minimum and
+    no network is built (regular-covering lemma: Kleitman, 1974; Engel,
+    Sperner Theory, 1997).  The witness is the t-side extreme cut, the same
+    for every minimum flow and unchanged by scaling all lower bounds, so
+    neither the start nor the scale changes the verdict or the witness.
     """
     n = len(instance)
     if n == 0:
         raise ValueError("the empty poset has no levels")
-    layers: list[list[int]] = [[] for _ in range(max(instance.height_of) + 1)]
-    for x, h in enumerate(instance.height_of):
-        layers[h].append(x)
-    spans = [len(layers[-1])]
-    for layer in layers[:-1]:
-        degrees = {len(instance.covers[x]) or 1 for x in layer}
-        spans.append(len(layer) * (degrees.pop() if len(degrees) == 1 else 1))
-    scale = lcm(*spans)
-    weights = [scale // len(layers[h]) for h in instance.height_of]
-    value, sides, _ = _min_flow(
-        instance, weights, _level_pair_start(instance, layers, weights, scale)
-    )
+    sizes = [0] * (max(instance.height_of) + 1)
+    for h in instance.height_of:
+        sizes[h] += 1
+    scale = lcm(*sizes)
+    weights = [scale // sizes[h] for h in instance.height_of]
+    value, sides = _lifted_min_flow(instance, weights)
     witness = _heaviest_from(instance, weights, value, sides)
     return KlymVerdict(value <= scale, Fraction(value, scale), witness)
 

@@ -234,36 +234,36 @@ def _build_family(
             f"enumerated {len(elements)} elements, expected {total}"
         )
 
+    # Element is a NamedTuple, so a plain (removal, addition) pair finds it
     index = {e: k for k, e in enumerate(elements)}
     succ = dag.successors()
+    full = (1 << params.q) - 1
     covers: list[list[int]] = []
-    for k, e in enumerate(elements):
+    for k, (removal, addition) in enumerate(elements):
         i, j = sublayer_of[k]
         ups: list[int] = []
         for ci, cj in succ[(i, j)]:
             di, dj = i - ci, cj - j
             if (di, dj) == (1, 0):
-                rm = e.removal
+                rm = removal
                 while rm:
                     bit = rm & -rm
-                    ups.append(index[Element(e.removal ^ bit, e.addition)])
+                    ups.append(index[removal ^ bit, addition])
                     rm ^= bit
             elif (di, dj) == (0, 1):
-                free = ~e.addition & ((1 << params.q) - 1)
+                free = ~addition & full
                 while free:
                     bit = free & -free
-                    ups.append(index[Element(e.removal, e.addition | bit)])
+                    ups.append(index[removal, addition | bit])
                     free ^= bit
             else:  # (1, 1): both moves at once
-                rm = e.removal
+                rm = removal
                 while rm:
                     rbit = rm & -rm
-                    free = ~e.addition & ((1 << params.q) - 1)
+                    free = ~addition & full
                     while free:
                         abit = free & -free
-                        ups.append(
-                            index[Element(e.removal ^ rbit, e.addition | abit)]
-                        )
+                        ups.append(index[removal ^ rbit, addition | abit])
                         free ^= abit
                     rm ^= rbit
         ups.sort()

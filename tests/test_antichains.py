@@ -17,7 +17,13 @@ from ballwidth.antichains import (
 from ballwidth.combinatorics import GroundParams, build_table, heaviest_sublayer_chain
 from ballwidth.errors import BudgetExceededError, InternalConsistencyError
 from ballwidth.flows import FlowNetwork
-from ballwidth.poset import build_ball, build_sphere, load_custom_poset, subset_of
+from ballwidth.poset import (
+    PosetInstance,
+    build_ball,
+    build_sphere,
+    load_custom_poset,
+    subset_of,
+)
 from ballwidth.sweep import sweep_tuples
 
 from helpers import (
@@ -205,8 +211,8 @@ class TestGuards:
 
 
 def klym_both_routes(instance):
-    """(even-split verdict, forced-fallback verdict, even-split start used?)"""
-    real = antichains_module._level_pair_start
+    """(lifted verdict, forced-fallback verdict, grid lift used?)"""
+    real = antichains_module._grid_start
     used = []
 
     def spy(*args):
@@ -215,9 +221,9 @@ def klym_both_routes(instance):
         return start
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(antichains_module, "_level_pair_start", spy)
+        mp.setattr(antichains_module, "_grid_start", spy)
         warm = check_klym(instance)
-        mp.setattr(antichains_module, "_level_pair_start", lambda *args: None)
+        mp.setattr(antichains_module, "_grid_start", lambda *args: None)
         cold = check_klym(instance)
     return warm, cold, used == [True]
 
@@ -251,6 +257,8 @@ FALLBACK_POSETS = {
 
 
 class TestLevelPairStart:
+    """check_klym's start: the grid lift, or first-cover chains without one."""
+
     def test_domain_spheres_match_the_fallback(self):
         spheres = list(domain_spheres())
         assert len(spheres) == 161 + 66  # m = 1..r, plus m = 0 once per (p, q)
@@ -258,14 +266,14 @@ class TestLevelPairStart:
             instance = build_sphere(GroundParams(p, q, m), m)
             warm, cold, used = klym_both_routes(instance)
             assert warm == cold, (p, q, m)
-            # a single layer (m = 0) always takes the fallback
-            assert used == (warm.holds and m > 0), (p, q, m)
+            assert used, (p, q, m)
 
     @pytest.mark.parametrize("name", list(FALLBACK_POSETS))
     def test_custom_posets_take_the_fallback(self, name):
         document, expect = FALLBACK_POSETS[name]
         warm, cold, used = klym_both_routes(load_custom_poset(document))
-        assert not used
+        # a single layer is one cell with no covers, trivially biregular
+        assert used == (name == "single layer")
         assert warm == cold
         assert warm.max_lym_sum == expect
         assert warm.holds == (expect <= 1)
@@ -292,49 +300,15 @@ class TestLevelPairStart:
 
     def test_uneven_up_degrees_take_the_fallback(self):
         # 0 < 2, 0 < 3, 1 < 3: normalized matching holds, but 0 has two
-        # covers and 1 has one, so no even split lands exactly
+        # covers and 1 has one, so the height layers are not biregular
         instance = load_custom_poset(
             {"elements": 4, "relations": [[0, 2], [0, 3], [1, 3]]}
         )
-        layers = [[0, 1], [2, 3]]
-        assert antichains_module._level_pair_start(instance, layers, [1] * 4, 2) is None
+        assert antichains_module._grid_start(instance, [1] * 4) is None
         warm, cold, used = klym_both_routes(instance)
         assert not used
         assert warm == cold
         assert warm.holds and warm.max_lym_sum == 1
-
-    @pytest.mark.parametrize(
-        "instance,scale",
-        [
-            # layers {0, 1}, {2, 3, 4}, {5, 6}; each lower layer mixes degrees
-            # 1 and 2, so the scale stays lcm(2, 3, 2)
-            (
-                load_custom_poset(
-                    {
-                        "elements": 7,
-                        "relations": [[0, 2], [0, 3], [1, 4], [2, 5], [3, 5], [3, 6], [4, 6]],
-                    }
-                ),
-                6,
-            ),
-            # S_2[3, 3]: layer sizes 3, 9, 3 with up-degrees 6 and 2, so the
-            # scale is lcm(3 * 6, 9 * 2, 3), not lcm(3, 9, 3)
-            (build_sphere(GroundParams(3, 3, 2), 2), 18),
-        ],
-        ids=["mixed up-degrees", "sphere"],
-    )
-    def test_scale_multiplies_only_uniform_up_degrees(self, instance, scale):
-        scales = []
-        real = antichains_module._level_pair_start
-
-        def spy(instance, layers, weights, scale):
-            scales.append(scale)
-            return real(instance, layers, weights, scale)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(antichains_module, "_level_pair_start", spy)
-            check_klym(instance)
-        assert scales == [scale]
 
     @pytest.mark.parametrize(
         "p,q,m,digest",
@@ -353,17 +327,18 @@ class TestLevelPairStart:
     def test_broken_start_raises(self):
         instance = build_sphere(GroundParams(3, 3, 2), 2)
         captured = []
-        real = antichains_module._level_pair_start
+        real = antichains_module._grid_start
 
-        def spy(instance, layers, weights, scale):
-            start = real(instance, layers, weights, scale)
-            captured.append((weights, start))
-            return start
+        def spy(instance, weights):
+            lift = real(instance, weights)
+            captured.append((weights, lift))
+            return lift
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(antichains_module, "_level_pair_start", spy)
+            mp.setattr(antichains_module, "_grid_start", spy)
             check_klym(instance)
-        weights, (through, cover_flow) = captured[0]
+        klym_weights, (scale, (through, cover_flow)) = captured[0]
+        weights = [w * scale for w in klym_weights]
         x = next(x for x, ys in enumerate(instance.covers) if ys)
         broken = [list(flows) for flows in cover_flow]
         broken[x][0] += 1
@@ -389,7 +364,7 @@ class TestLevelPairStart:
 def network_route(fn, instance):
     """`fn(instance)` from the chain start, cancelled on a built network."""
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_grid_start", "_level_pair_start", "_residual_sides"):
+        for name in ("_grid_start", "_residual_sides"):
             mp.setattr(antichains_module, name, lambda *args: None)
         return fn(instance)
 
@@ -482,7 +457,9 @@ class TestGridStart:
 
     def test_lifted_share_off_by_one_raises(self):
         instance = build_ball(GroundParams(3, 3, 2))
-        scale, (through, cover_flow) = antichains_module._grid_start(instance)
+        scale, (through, cover_flow) = antichains_module._grid_start(
+            instance, [1] * len(instance)
+        )
         x = next(x for x, flows in enumerate(cover_flow) if flows)
         broken = [list(flows) for flows in cover_flow]
         broken[x][0] += 1
@@ -500,19 +477,67 @@ class TestGridStart:
         with pytest.raises(InternalConsistencyError):
             flow_width(build_ball(GroundParams(3, 3, 2)))
 
-    def test_custom_poset_keeps_the_chain_start(self, monkeypatch):
-        ball = build_ball(GroundParams(2, 3, 2))
-        relations = [[x, y] for x, ys in enumerate(ball.covers) for y in ys]
-        custom = load_custom_poset({"elements": len(ball), "relations": relations})
-        assert antichains_module._grid_start(ball) is not None
-        assert antichains_module._grid_start(custom) is None
+    def test_custom_poset_takes_the_lift_only_when_biregular(self, monkeypatch):
+        # a sphere's height layers are its sublayers, so they are biregular;
+        # a ball's height 2 mixes sublayers (0, 0) and (1, 1) with up-degrees
+        # 3 and 1, so it is not
+        built = [build_sphere(GroundParams(2, 3, 2), 2), build_ball(GroundParams(2, 3, 2))]
         seen = []
         real = antichains_module._min_flow
 
         def spy(instance, weights, start=None):
-            seen.append((set(weights), start))
+            seen.append(start is not None)
             return real(instance, weights, start)
 
         monkeypatch.setattr(antichains_module, "_min_flow", spy)
-        assert flow_width(custom) == flow_width(ball)
-        assert seen[0] == ({1}, None)
+        for family, lifted in zip(built, (True, False)):
+            relations = [[x, y] for x, ys in enumerate(family.covers) for y in ys]
+            custom = load_custom_poset({"elements": len(family), "relations": relations})
+            unit = [1] * len(custom)
+            assert (antichains_module._grid_start(custom, unit) is not None) == lifted
+            assert antichains_module._grid_start(family, unit) is not None
+            seen.clear()
+            got = flow_width(custom)
+            # the lift's own grid flow runs first; the element flow comes last
+            assert seen[-1] == lifted
+            assert got == flow_width(family)
+            assert check_klym(custom) == check_klym(family)
+
+    def test_chain_start_is_minimum_on_a_chain(self):
+        weights = [1, 5, 2, 7, 0, 3, 7, 4]
+        n = len(weights)
+        chain = load_custom_poset(
+            {"elements": n, "relations": [[x, x + 1] for x in range(n - 1)]}
+        )
+        start = antichains_module._chain_start(chain, weights)
+        assert antichains_module._residual_sides(chain, weights, *start) is not None
+        assert start[0][0] == max(weights)  # all of it leaves the bottom element
+        assert antichains_module._min_flow(chain, weights)[0] == max(weights)
+
+    def test_sphere_as_custom_poset_builds_no_network(self, monkeypatch):
+        sphere = build_sphere(GroundParams(9, 9, 5), 5)
+        custom = PosetInstance(list(range(len(sphere))), sphere.covers, sphere.height_of, None)
+        assert antichains_module._grid_start(custom, [1] * len(custom)) is not None
+        expect = check_klym(sphere)
+        built = []
+        real_init = FlowNetwork.__init__
+
+        def init(self, n):
+            built.append(n)
+            real_init(self, n)
+
+        monkeypatch.setattr(FlowNetwork, "__init__", init)
+        assert check_klym(custom) == expect
+        assert built == []
+
+    def test_ball_klym_takes_the_lift_and_matches_the_network(self):
+        count = 0
+        for p in range(1, 9):
+            for q in range(9 - p):
+                for r in range(p + q + 1):
+                    instance = build_ball(GroundParams(p, q, r))
+                    warm, _, used = klym_both_routes(instance)
+                    assert used, (p, q, r)
+                    assert warm == network_route(check_klym, instance), (p, q, r)
+                    count += 1
+        assert count == sum(p + q + 1 for p in range(1, 9) for q in range(9 - p))
