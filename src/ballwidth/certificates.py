@@ -82,38 +82,39 @@ def certificate_check(
     for profile, mult in certificate.profiles:
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise ValueError(f"profile multiplicity must be positive, got {mult!r}")
-        for c in profile:
-            if c not in coords:
-                raise ValueError(f"profile mentions unknown coordinate {c}")
+        if not profile:
+            raise ValueError("certificate has an empty profile")
+        if not all(map(coords.__contains__, profile)):
+            unknown = next(c for c in profile if c not in coords)
+            raise ValueError(f"profile mentions unknown coordinate {unknown}")
 
     # profiles must run the full source-to-sink gamut, one height at a time
-    accumulated: dict[Coord, int] = {}
+    accumulated = dict.fromkeys(dag.coords, 0)
     for profile, mult in certificate.profiles:
         if profile[0] != dag.source or profile[-1] != dag.sink:
             return False
-        if any((u, v) not in edges for u, v in zip(profile, profile[1:])):
+        if not all(map(edges.__contains__, zip(profile, profile[1:]))):
             return False
         for c in profile:
-            accumulated[c] = accumulated.get(c, 0) + mult
+            accumulated[c] += mult
 
-    for c in coords:
-        if accumulated.get(c, 0) != certificate.coverage.get(c, 0):
-            return False
+    coverage = certificate.coverage
+    if any(accumulated[c] != coverage.get(c, 0) for c in coords):
+        return False
 
     per_height: dict[int, int] = {}
     for c in coords:
         h = dag.height_of[c]
-        per_height[h] = per_height.get(h, 0) + certificate.coverage.get(c, 0)
+        per_height[h] = per_height.get(h, 0) + accumulated[c]
     if len(set(per_height.values())) > 1:
         return False
 
     target = [c for c in coords if dag.height_of[c] == certificate.target_height]
-    for c in target:
-        if certificate.coverage.get(c, 0) != sizes[c]:
-            return False
+    if any(accumulated[c] != sizes[c] for c in target):
+        return False
     # the (non-empty) target is covered at rate exactly 1, so meeting its
     # rate N_c / |X_c| >= N_c* / |X_c*| means covering each sublayer fully
-    return all(certificate.coverage.get(c, 0) >= sizes[c] for c in coords)
+    return all(accumulated[c] >= sizes[c] for c in coords)
 
 
 def _status_for(coverage: dict[Coord, int], dag: QuotientDag, target: int) -> str:
@@ -136,27 +137,41 @@ def _peel_profiles(
     """
     if dag.source == dag.sink:
         return [((dag.source,), total)] if total else []
-    succ = dag.successors()
-    remaining = dict(edge_flow)
+    edges = dag.edges
+    remaining = [edge_flow.get(e, 0) for e in edges]
+    if sum(map(bool, remaining)) != sum(map(bool, edge_flow.values())):
+        stray = next(e for e, f in edge_flow.items() if f and e not in edges)
+        raise InternalConsistencyError(f"flow on {stray}, which is not a diagram edge")
+    # edge numbers leaving each coordinate, smallest head first
+    head = [v for _, v in edges]
+    leaving: dict[Coord, list[int]] = {c: [] for c in dag.coords}
+    for e, (u, _) in enumerate(edges):
+        leaving[u].append(e)
+    for out in leaving.values():
+        out.sort(key=head.__getitem__)
     profiles: list[tuple[ChainProfile, int]] = []
     left = total
     while left > 0:
-        path = [dag.source]
-        while path[-1] != dag.sink:
-            cur = path[-1]
-            for v in succ[cur]:
-                if remaining.get((cur, v), 0) > 0:
-                    path.append(v)
+        steps: list[int] = []
+        cur = dag.source
+        while cur != dag.sink:
+            for e in leaving[cur]:
+                if remaining[e] > 0:
+                    steps.append(e)
+                    cur = head[e]
                     break
             else:
                 raise InternalConsistencyError(f"flow decomposition stuck at {cur}")
-        steps = list(zip(path, path[1:]))
-        mult = min(remaining[s] for s in steps)
-        for s in steps:
-            remaining[s] -= mult
-        profiles.append((tuple(path), mult))
+        mult = min(map(remaining.__getitem__, steps))
+        for e in steps:
+            remaining[e] -= mult
+        profiles.append(((dag.source, *map(head.__getitem__, steps)), mult))
         left -= mult
-    if any(v != 0 for v in remaining.values()):
+    if left < 0:
+        raise InternalConsistencyError(
+            f"the flow carries {total - left} chains, not {total}"
+        )
+    if any(remaining):
         raise InternalConsistencyError("edge flow left over after decomposition")
     return profiles
 
@@ -174,41 +189,38 @@ def certificate_search(
     if not 0 <= target_height <= dag.top_height:
         raise ValueError(f"target height {target_height} outside the diagram")
 
+    # coordinate k is the arc 2k -> 2k + 1, in slot 2k
     coords = dag.coords
     index = {c: k for k, c in enumerate(coords)}
-    inn = lambda c: 2 * index[c]
-    out = lambda c: 2 * index[c] + 1
     kk = len(coords)
     ss, tt = 2 * kk, 2 * kk + 1
 
-    low: dict[Coord, int] = {}
-    for c in coords:
-        base = dag.table.sizes[c]
-        on_target = dag.height_of[c] == target_height
-        low[c] = base if on_target or not strict else base + 1
-    inf = sum(low.values()) + 1
+    sizes, height_of = dag.table.sizes, dag.height_of
+    exact = [height_of[c] == target_height for c in coords]
+    low = [
+        sizes[c] if on_target or not strict else sizes[c] + 1
+        for c, on_target in zip(coords, exact)
+    ]
+    need = sum(low)
+    inf = need + 1
 
     net = FlowNetwork(2 * kk + 2)
-    node_slot: dict[Coord, int] = {}
-    for c in coords:
-        exact = dag.height_of[c] == target_height
-        node_slot[c] = net.add_edge(inn(c), out(c), 0 if exact else inf)
-    edge_slot: dict[tuple[Coord, Coord], int] = {}
+    add = net.add_pair
+    for k, on_target in enumerate(exact):
+        add(2 * k, 2 * k + 1, 0 if on_target else inf, 0)
+    first_edge = len(net.to)
     for u, v in dag.edges:
-        edge_slot[(u, v)] = net.add_edge(out(u), inn(v), inf)
-    circulation = net.add_edge(out(dag.sink), inn(dag.source), inf)
-
-    need = 0
-    for c in coords:
-        need += low[c]
-        net.add_edge(ss, out(c), low[c])
-        net.add_edge(inn(c), tt, low[c])
+        add(2 * index[u] + 1, 2 * index[v], inf, 0)
+    circulation = add(2 * index[dag.sink] + 1, 2 * index[dag.source], inf, 0)
+    for k, demand in enumerate(low):
+        add(ss, 2 * k + 1, demand, 0)
+        add(2 * k, tt, demand, 0)
     got = net.max_flow(ss, tt)
 
     if got < need:
         cut = net.residual_reachable(ss)
         pinched = sorted(
-            c for c in coords if (inn(c) in cut) != (out(c) in cut)
+            c for k, c in enumerate(coords) if (2 * k in cut) != (2 * k + 1 in cut)
         )
         return CertificateVerdict(
             INFEASIBLE,
@@ -217,8 +229,10 @@ def certificate_search(
             f"units against the cut at {pinched}",
         )
 
-    coverage = {c: low[c] + net.flow_on(node_slot[c]) for c in coords}
-    edge_flow = {e: net.flow_on(s) for e, s in edge_slot.items()}
+    # a slot's flow sits on its partner, slot ^ 1
+    cap = net.cap
+    coverage = {c: lo + f for c, lo, f in zip(coords, low, cap[1 : 2 * kk : 2])}
+    edge_flow = dict(zip(dag.edges, cap[first_edge + 1 : circulation : 2]))
     total = net.flow_on(circulation)
     profiles = _peel_profiles(dag, total, edge_flow)
 

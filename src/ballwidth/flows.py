@@ -2,8 +2,18 @@
 
 Used by the antichain and certificate machinery, always with integral
 capacities.  Edges are stored in paired slots so slot ^ 1 is the reverse
-edge; augmentation is iterative and scans neighbors in insertion order,
-which keeps every run reproducible.
+edge, and every scan follows insertion order, which keeps every run
+reproducible.
+
+A phase labels levels breadth-first from the source and stops as soon as
+the sink is labelled: a node at the sink's level or beyond lies on no
+shortest path.  One blocking flow then walks the level graph depth-first
+with a cursor per node.  A node whose cursor runs out is dead; after a
+path is augmented the walk resumes at the tail of the first arc the
+augmentation saturated, keeping the path up to it.  A restart from the
+source would follow the same cursors along the same unsaturated prefix to
+that very node, so the resumed walk finds exactly the flow the restart
+would.
 """
 
 from __future__ import annotations
@@ -24,7 +34,6 @@ class FlowNetwork:
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
         self.cap: list[int] = []
-        self._level: list[int] = []
 
     def add_edge(self, u: int, v: int, capacity: int) -> int:
         """Directed edge u -> v; returns its slot (reverse is slot ^ 1)."""
@@ -46,62 +55,69 @@ class FlowNetwork:
         """Units pushed across the forward direction of a pair so far."""
         return self.cap[slot ^ 1]
 
-    def _bfs(self, s: int, t: int) -> bool:
+    def _bfs(self, s: int, t: int) -> list[int] | None:
+        """BFS levels up to the sink's, or None when the sink is unreachable."""
+        adj, to, cap = self.adj, self.to, self.cap
         level = [-1] * self.n
         level[s] = 0
         frontier = [s]
+        depth = 0
         while frontier:
+            depth += 1
             nxt = []
             for u in frontier:
-                for e in self.adj[u]:
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
+                for e in adj[u]:
+                    if cap[e]:
+                        v = to[e]
+                        if level[v] < 0:
+                            level[v] = depth
+                            if v == t:
+                                return level
+                            nxt.append(v)
             frontier = nxt
-        self._level = level
-        return level[t] >= 0
-
-    def _augment(self, s: int, t: int, cursor: list[int]) -> int:
-        level = self._level
-        stack = [s]
-        path: list[int] = []
-        while stack:
-            u = stack[-1]
-            if u == t:
-                pushed = min(self.cap[e] for e in path)
-                for e in path:
-                    self.cap[e] -= pushed
-                    self.cap[e ^ 1] += pushed
-                return pushed
-            advanced = False
-            while cursor[u] < len(self.adj[u]):
-                e = self.adj[u][cursor[u]]
-                v = self.to[e]
-                if self.cap[e] > 0 and level[v] == level[u] + 1:
-                    stack.append(v)
-                    path.append(e)
-                    advanced = True
-                    break
-                cursor[u] += 1
-            if not advanced:
-                level[u] = -1
-                stack.pop()
-                if path:
-                    path.pop()
-        return 0
+        return None
 
     def max_flow(self, s: int, t: int) -> int:
         if s == t:
             raise ValueError("source and sink must differ")
+        adj, to, cap = self.adj, self.to, self.cap
         total = 0
-        while self._bfs(s, t):
+        while (level := self._bfs(s, t)) is not None:
             cursor = [0] * self.n
+            path: list[int] = []  # slots from s to the walk's head
+            u = s
             while True:
-                pushed = self._augment(s, t, cursor)
-                if pushed == 0:
+                if u == t:
+                    pushed = min(map(cap.__getitem__, path))
+                    total += pushed
+                    first = -1
+                    for k, e in enumerate(path):
+                        cap[e] -= pushed
+                        cap[e ^ 1] += pushed
+                        if first < 0 and not cap[e]:
+                            first = k
+                    del path[first:]
+                    u = to[path[-1]] if path else s
+                    continue
+                arcs = adj[u]
+                k, end = cursor[u], len(arcs)
+                deeper = level[u] + 1
+                while k < end:
+                    e = arcs[k]
+                    if cap[e] and level[to[e]] == deeper:
+                        break
+                    k += 1
+                cursor[u] = k
+                if k < end:
+                    path.append(e)
+                    u = to[e]
+                    continue
+                level[u] = -1  # dead for the rest of the phase
+                if not path:
                     break
-                total += pushed
+                path.pop()
+                u = to[path[-1]] if path else s
+                cursor[u] += 1  # its arc led to the dead node
         return total
 
     def residual_reachable(self, src: int) -> set[int]:

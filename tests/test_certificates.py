@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ballwidth.antichains import width
@@ -8,6 +10,7 @@ from ballwidth.certificates import (
     NOT_APPLICABLE,
     Certificate,
     certificate_check,
+    _peel_profiles,
     certificate_search,
     certified_width,
     gk_partition,
@@ -21,7 +24,7 @@ from ballwidth.combinatorics import (
     layer_profile,
     sublayer_size,
 )
-from ballwidth.errors import BudgetExceededError
+from ballwidth.errors import BudgetExceededError, InternalConsistencyError
 from ballwidth.poset import build_ball, quotient_dag
 
 from helpers import pascal_binomial
@@ -71,6 +74,8 @@ class TestCertificateCheck:
             certificate_check(
                 Certificate(((((1, 0), (1, 1)), 1),), {}, 2), table, dag
             )
+        with pytest.raises(ValueError, match="empty profile"):
+            certificate_check(Certificate((((), 1),), {}, 0), table, dag)
 
     def test_profile_must_span_source_to_sink(self, tiny):
         table, dag = tiny
@@ -147,7 +152,65 @@ class TestCertificateSearch:
         assert total == profile.max_size
 
 
+class TestPeelProfiles:
+    UP, ACROSS = ((1, 0), (0, 0)), ((0, 0), (0, 1))
+
+    def test_flow_off_the_diagram_raises(self, tiny):
+        _, dag = tiny
+        flow = {self.UP: 1, self.ACROSS: 1, ((1, 0), (0, 1)): 1}
+        with pytest.raises(InternalConsistencyError, match="not a diagram edge"):
+            _peel_profiles(dag, 1, flow)
+
+    def test_stuck_walk_raises(self, tiny):
+        _, dag = tiny
+        with pytest.raises(InternalConsistencyError, match=r"stuck at \(0, 0\)"):
+            _peel_profiles(dag, 1, {self.UP: 1})
+
+    def test_leftover_flow_raises(self, tiny):
+        _, dag = tiny
+        with pytest.raises(InternalConsistencyError, match="left over"):
+            _peel_profiles(dag, 1, {self.UP: 2, self.ACROSS: 1})
+
+    def test_flow_beyond_the_total_raises(self, tiny):
+        _, dag = tiny
+        with pytest.raises(InternalConsistencyError, match="carries 2 chains, not 1"):
+            _peel_profiles(dag, 1, {self.UP: 2, self.ACROSS: 2})
+
+
+def certified_width_digest(n: int) -> tuple[int, str]:
+    """Hash every verdict with p, q <= n and 1 <= r <= min(p, q), both modes."""
+    h = hashlib.sha256()
+    count = 0
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            for r in range(1, min(p, q) + 1):
+                for strict in (False, True):
+                    verdict, _ = certified_width(GroundParams(p, q, r), strict)
+                    cert = verdict.certificate
+                    h.update(
+                        repr(
+                            (
+                                (p, q, r, strict),
+                                verdict.status,
+                                verdict.diagnostics,
+                                None if cert is None else cert.profiles,
+                                None if cert is None else sorted(cert.coverage.items()),
+                            )
+                        ).encode()
+                    )
+                    count += 1
+    return count, h.hexdigest()
+
+
 class TestCertifiedWidth:
+    def test_verdicts_are_pinned(self):
+        # the certificate follows the flow Dinic finds, so any change to the
+        # augmenting order, the network's arc order or the peel moves this
+        assert certified_width_digest(10) == (
+            770,
+            "7021cbf1859d22d587c6fcf1b9f76cb716aed0f93c0a580c87ecdcbbc5a49cf5",
+        )
+
     def test_reference_ball(self):
         verdict, size = certified_width(GroundParams(5, 8, 4))
         assert size == 321
