@@ -5,10 +5,10 @@ Two engines that must agree:
 * a bipartite matching over the comparability relation (Dilworth through
   Koenig's theorem) gives the width and a maximum antichain;
 * a minimum flow with per-element lower bounds gives the heaviest
-  antichain under arbitrary nonnegative weights.  Under weights constant on
-  each sublayer it starts from the sublayer grid's min-flow, lifted onto
-  the elements; on a ball or sphere that lift is an optimum, so both
-  extreme cuts are read from it and no element-level network is built.
+  antichain under nonnegative integer weights.  One routine, `_heaviest`,
+  starts it from the cell grid's min-flow lifted onto the elements (on a
+  ball or sphere an optimum, so no element-level network is built), else
+  from first-cover chains, and checks both extreme cuts it reads off.
 
 Whenever both run on the same instance the values are cross-checked and a
 disagreement raises InternalConsistencyError, never a wrong answer.
@@ -105,16 +105,27 @@ def _chain_start(
     return through, cover_flow
 
 
-def _check_start(
+def _residual_sides(
     instance: PosetInstance,
     weights: list[int],
     through: list[int],
     cover_flow: list[list[int]],
-) -> None:
-    """Raise unless the start conserves flow and meets every lower bound."""
-    covers = instance.covers
-    lowers = instance.lower_covers()
-    inflow = [0] * len(instance)
+) -> Sides | None:
+    """The t side and s side of a start's residual graph; None if t reaches s.
+
+    The same pass over the covers checks the start: one that breaks
+    conservation or a lower bound raises InternalConsistencyError.  The
+    arcs are those of `_min_flow`'s network before the cancel, with
+    in(x) = 2x, out(x) = 2x + 1, s = 2n, t = 2n + 1: in -> out, out(x) ->
+    in(y) on a cover, s -> in and out -> t are always open; out -> in iff
+    the throughput exceeds the weight, other reverse arcs iff they carry flow.
+    """
+    n = len(instance)
+    covers, lowers = instance.covers, instance.lower_covers()
+    s, t = 2 * n, 2 * n + 1
+    inflow = [0] * n
+    up: list[list[int]] = []  # in(y) for each cover carrying flow out of x
+    down: list[list[int]] = [[] for _ in range(n)]
     for x, ys in enumerate(covers):
         flows = cover_flow[x]
         if len(flows) != len(ys) or min(flows, default=0) < 0:
@@ -125,7 +136,10 @@ def _check_start(
                 f"not its throughput {through[x]}"
             )
         for y, f in zip(ys, flows):
-            inflow[y] += f
+            if f:
+                inflow[y] += f
+                down[y].append(2 * x + 1)
+        up.append([2 * y for y, f in zip(ys, flows) if f])
     for x, w in enumerate(weights):
         if lowers[x] and inflow[x] != through[x]:
             raise InternalConsistencyError(
@@ -137,29 +151,7 @@ def _check_start(
                 f"starting flow carries {through[x]} units through element {x}, "
                 f"below its weight {w}"
             )
-
-
-def _residual_sides(
-    instance: PosetInstance,
-    weights: list[int],
-    through: list[int],
-    cover_flow: list[list[int]],
-) -> Sides | None:
-    """The t side and s side of a start's residual graph; None if t reaches s.
-
-    Its arcs are those of `_min_flow`'s network before the cancel, with
-    in(x) = 2x, out(x) = 2x + 1, s = 2n, t = 2n + 1: in -> out, out(x) ->
-    in(y) on a cover, s -> in and out -> t are always open; out -> in iff
-    the throughput exceeds the weight, other reverse arcs iff they carry flow.
-    """
-    n = len(instance)
-    covers, lowers = instance.covers, instance.lower_covers()
-    s, t = 2 * n, 2 * n + 1
-    up = [[2 * y for y, f in zip(ys, fs) if f] for ys, fs in zip(covers, cover_flow)]
-    down: list[list[int]] = [[] for _ in range(n)]
-    for x, ins in enumerate(up):
-        for v in ins:
-            down[v >> 1].append(2 * x + 1)
+    del inflow
     slack = [f > w for f, w in zip(through, weights)]
 
     def heads(u: int) -> list[int]:
@@ -215,9 +207,8 @@ def _min_flow(
     s, t = 2 * n, 2 * n + 1
     through, cover_flow = start if start is not None else _chain_start(instance, weights)
     del start
-    _check_start(instance, weights, through, cover_flow)
-    total = sum(f for x, f in enumerate(through) if not lowers[x])
     sides = _residual_sides(instance, weights, through, cover_flow)
+    total = sum(f for x, f in enumerate(through) if not lowers[x])
     if sides is not None:
         return total, sides, (through, cover_flow)
 
@@ -256,34 +247,6 @@ def _cut_antichains(sides: Sides, weights: list[int]) -> tuple[list[int], list[i
     return from_t, from_s
 
 
-def _heaviest_from(
-    instance: PosetInstance, weights: list[int], value: int, sides: Sides
-) -> AntichainWitness:
-    """The cut witness of a finished min-flow, checked against its value."""
-    members, _ = _cut_antichains(sides, weights)
-    if sum(weights[x] for x in members) != value or not instance.is_antichain(members):
-        raise InternalConsistencyError(
-            f"flow value {value} does not match its own cut witness"
-        )
-    return AntichainWitness(tuple(members))
-
-
-def max_weight_antichain(
-    instance: PosetInstance, weights: list[int]
-) -> tuple[int, AntichainWitness]:
-    """Heaviest antichain under nonnegative integer element weights."""
-    n = len(instance)
-    if len(weights) != n:
-        raise ValueError(f"need {n} weights, got {len(weights)}")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be nonnegative")
-    if n == 0:
-        return 0, AntichainWitness(())
-
-    value, sides, _ = _min_flow(instance, weights)
-    return value, _heaviest_from(instance, weights, value, sides)
-
-
 def _grid_start(instance: PosetInstance, weights: list[int]) -> tuple[int, tuple] | None:
     """(L, start): a minimum flow of the cell grid, lifted onto the elements.
 
@@ -303,6 +266,8 @@ def _grid_start(instance: PosetInstance, weights: list[int]) -> tuple[int, tuple
     index: dict = {}
     cell = [index.setdefault(c, len(index)) for c in cells]
     k = len(index)
+    if k == len(cell):  # every cell one element: the grid is the poset itself
+        return None
     sizes, heights = [0] * k, [0] * k
     rows: dict[int, tuple] = {}  # (weight, upper-cover cells, lower-cover cells)
     for x, (ys, zs) in enumerate(zip(instance.covers, instance.lower_covers())):
@@ -324,33 +289,55 @@ def _grid_start(instance: PosetInstance, weights: list[int]) -> tuple[int, tuple
     return scale, (lifted, [row_flows[c] for c in cell])
 
 
-def _lifted_min_flow(instance: PosetInstance, weights: list[int]) -> tuple[int, Sides]:
-    """`_min_flow`'s value and sides, from the grid lift at scale L if there is one."""
+def _heaviest(
+    instance: PosetInstance, weights: list[int]
+) -> tuple[int, list[int], list[int]]:
+    """(value, from_t, from_s): the heaviest weight and both extreme cuts.
+
+    The min-flow starts from `_grid_start`'s lift at scale L, else from
+    first-cover chains.  Its value must be L times an integer, and each cut
+    an antichain of that weight, else InternalConsistencyError.
+    """
     scale, start = _grid_start(instance, weights) or (1, None)
     value, sides, _ = _min_flow(instance, [w * scale for w in weights], start)
     if value % scale:
         raise InternalConsistencyError(f"flow value {value} not a multiple of {scale}")
-    return value // scale, sides
+    value //= scale
+    cuts = _cut_antichains(sides, weights)
+    for members in cuts:
+        weight = sum(weights[x] for x in members)
+        if weight != value or not instance.is_antichain(members):
+            raise InternalConsistencyError(
+                f"flow value {value} does not match its own cut witness"
+            )
+    return (value, *cuts)
 
 
 def _unit_extremes(instance: PosetInstance) -> tuple[int, list[int], list[int]]:
     if instance._unit_cuts is None:
-        weights = [1] * len(instance)
-        value, sides = _lifted_min_flow(instance, weights)
-        from_t, from_s = _cut_antichains(sides, weights)
-        for members in (from_t, from_s):
-            if len(members) != value or not instance.is_antichain(members):
-                raise InternalConsistencyError("extreme cut is not a valid witness")
-        instance._unit_cuts = (value, from_t, from_s)
+        instance._unit_cuts = _heaviest(instance, [1] * len(instance))
     return instance._unit_cuts
 
 
-def flow_width(instance: PosetInstance) -> tuple[int, AntichainWitness]:
-    """Width via the flow engine; independent of the matching route.
+def max_weight_antichain(
+    instance: PosetInstance, weights: list[int]
+) -> tuple[int, AntichainWitness]:
+    """Heaviest antichain under nonnegative integer element weights."""
+    n = len(instance)
+    if len(weights) != n:
+        raise ValueError(f"need {n} weights, got {len(weights)}")
+    if not all(isinstance(w, int) and not isinstance(w, bool) for w in weights):
+        raise ValueError("weights must be integers")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
+    if n == 0:
+        return 0, AntichainWitness(())
+    value, members, _ = _heaviest(instance, weights)
+    return value, AntichainWitness(tuple(members))
 
-    It starts from `_grid_start`'s lift at scale L, whose value is L times
-    the width and whose cuts are those of unit weights.
-    """
+
+def flow_width(instance: PosetInstance) -> tuple[int, AntichainWitness]:
+    """Width via the flow engine; independent of the matching route."""
     value, from_t, _ = _unit_extremes(instance)
     return value, AntichainWitness(tuple(from_t))
 
@@ -360,15 +347,13 @@ def check_klym(instance: PosetInstance) -> KlymVerdict:
 
     Levels are the height layers.  Scaling each element by scale/|its
     level|, with scale = lcm(|L_h|), turns the question into an integer
-    antichain weight bound: the heaviest antichain, read off a minimum flow
-    with those weights as lower bounds, must weigh at most the scale.  The
-    weights are constant on sublayers, so the flow starts from
-    `_grid_start`'s lift, else from first-cover chains.  On a sphere each
-    level is one sublayer and the grid is a path, so the lift is minimum and
-    no network is built (regular-covering lemma: Kleitman, 1974; Engel,
-    Sperner Theory, 1997).  The witness is the t-side extreme cut, the same
-    for every minimum flow and unchanged by scaling all lower bounds, so
-    neither the start nor the scale changes the verdict or the witness.
+    antichain weight bound: the heaviest antichain must weigh at most the
+    scale.  The weights are constant on sublayers; on a sphere each level is
+    one sublayer and the grid is a path, so the lift is minimum and no
+    network is built (regular-covering lemma: Kleitman, 1974; Engel, Sperner
+    Theory, 1997).  The witness is the t-side extreme cut, the same for
+    every minimum flow and unchanged by scaling all lower bounds, so neither
+    the start nor the scale changes the verdict or the witness.
     """
     n = len(instance)
     if n == 0:
@@ -378,8 +363,8 @@ def check_klym(instance: PosetInstance) -> KlymVerdict:
         sizes[h] += 1
     scale = lcm(*sizes)
     weights = [scale // sizes[h] for h in instance.height_of]
-    value, sides = _lifted_min_flow(instance, weights)
-    witness = _heaviest_from(instance, weights, value, sides)
+    value, members, _ = _heaviest(instance, weights)
+    witness = AntichainWitness(tuple(members))
     return KlymVerdict(value <= scale, Fraction(value, scale), witness)
 
 

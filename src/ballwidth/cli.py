@@ -111,8 +111,8 @@ def _run_width(args: argparse.Namespace) -> int:
         _write(emit_json(payload), args.out)
     else:
         lines = [f"width {value} over {len(instance)} elements"]
-        for entry in rendered[:12]:
-            lines.append(f"  {set(entry) if entry else '{}'}")
+        for entry in rendered[:12]:  # a subset as a set, a custom poset's id as it is
+            lines.append(f"  {entry if params is None else (set(entry) or '{}')}")
         if len(rendered) > 12:
             lines.append(f"  ... {len(rendered) - 12} more")
         _write("\n".join(lines) + "\n", args.out)

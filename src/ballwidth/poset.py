@@ -187,19 +187,13 @@ def quotient_dag(params: GroundParams, family: Family) -> QuotientDag:
         )
     source, sink = sources[0], sinks[0]
 
-    # longest path from the source; topological by j - i, which every
-    # edge strictly increases
-    height_of: dict[Coord, int] = {source: 0}
-    succ: dict[Coord, list[Coord]] = {c: [] for c in coord_list}
-    for u, v in edges:
-        succ[u].append(v)
-    for u in sorted(coord_list, key=lambda c: (c[1] - c[0], c[0])):
-        if u not in height_of:
-            raise GradedQuotientError(f"coordinate {u} unreachable from {source}")
-        for v in succ[u]:
-            h = height_of[u] + 1
-            if height_of.get(v, -1) < h:
-                height_of[v] = h
+    # longest path from the source, the one coordinate with no in-edge:
+    # every edge strictly raises j - i, so taking edges by their tail's
+    # j - i settles each tail before it is read
+    height_of: dict[Coord, int] = dict.fromkeys(coord_list, 0)
+    for u, v in sorted(edges, key=lambda e: e[0][1] - e[0][0]):
+        if height_of[v] <= height_of[u]:
+            height_of[v] = height_of[u] + 1
     for u, v in edges:
         if height_of[v] != height_of[u] + 1:
             raise GradedQuotientError(

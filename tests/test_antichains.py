@@ -143,11 +143,32 @@ class TestMaxWeightAntichain:
             max_weight_antichain(instance, [1, 1])
         with pytest.raises(ValueError):
             max_weight_antichain(instance, [1, -1, 1, 1])
+        # inexact and boolean weights are refused before any flow runs
+        ball = build_ball(GroundParams(2, 3, 2))
+        for weight in (Fraction(1, 3), 1 / 3, 0.5, True):
+            with pytest.raises(ValueError, match="integers"):
+                max_weight_antichain(ball, [weight] * len(ball))
 
     def test_empty_poset(self):
         empty = load_custom_poset({"elements": 0})
         value, witness = max_weight_antichain(empty, [])
         assert value == 0 and witness.members == ()
+
+    def test_unit_weights_on_a_ball_build_no_element_network(self, monkeypatch):
+        params = GroundParams(3, 3, 2)
+        instance = build_ball(params)
+        n = len(instance)
+        built = []
+        real_init = FlowNetwork.__init__
+
+        def init(self, size):
+            built.append(size)
+            real_init(self, size)
+
+        monkeypatch.setattr(FlowNetwork, "__init__", init)
+        got = max_weight_antichain(instance, [1] * n)
+        assert 2 * n + 2 not in built
+        assert got == flow_width(build_ball(params))
 
 
 class TestRandomPosets:
@@ -203,6 +224,20 @@ class TestGuards:
         with pytest.raises(ValueError):
             check_klym(load_custom_poset({"elements": 0}))
 
+    def test_klym_checks_the_s_side_cut(self, monkeypatch):
+        # levels {0, 2} and {1}: klym weights 1, 2, 1; the chain 0 < 1 weighs
+        # 3 like the true maximum {1, 2}, but it is not an antichain
+        instance = load_custom_poset({"elements": 3, "relations": [[0, 1]]})
+        real = antichains_module._cut_antichains
+
+        def planted(*args):
+            from_t, _ = real(*args)
+            return from_t, [0, 1]
+
+        monkeypatch.setattr(antichains_module, "_cut_antichains", planted)
+        with pytest.raises(InternalConsistencyError):
+            check_klym(instance)
+
     def test_klym_reference_custom_poset(self):
         verdict = check_klym(load_custom_poset({"elements": 3, "relations": [[0, 1]]}))
         assert not verdict.holds
@@ -226,6 +261,11 @@ def klym_both_routes(instance):
         mp.setattr(antichains_module, "_grid_start", lambda *args: None)
         cold = check_klym(instance)
     return warm, cold, used == [True]
+
+
+def shares_a_cell(instance):
+    """Does some sublayer hold two elements?  Else `_grid_start` skips the lift."""
+    return len(set(instance.sublayer_of)) < len(instance)
 
 
 def domain_spheres():
@@ -266,7 +306,8 @@ class TestLevelPairStart:
             instance = build_sphere(GroundParams(p, q, m), m)
             warm, cold, used = klym_both_routes(instance)
             assert warm == cold, (p, q, m)
-            assert used, (p, q, m)
+            # the all-singleton grids (m = 0, and (1, 1, m)) are the sphere itself
+            assert used == shares_a_cell(instance), (p, q, m)
 
     @pytest.mark.parametrize("name", list(FALLBACK_POSETS))
     def test_custom_posets_take_the_fallback(self, name):
@@ -416,6 +457,8 @@ class TestGridStart:
     def test_non_minimum_start_builds_the_network(self, monkeypatch):
         instance = build_ball(GroundParams(2, 3, 2))
         weights = [1] * len(instance)
+        weights[1] = 2  # sublayer (1, 0) holds elements 1 and 2: no lift
+        assert antichains_module._grid_start(instance, weights) is None
         start = antichains_module._chain_start(instance, weights)
         assert antichains_module._residual_sides(instance, weights, *start) is None
         calls = []
@@ -429,7 +472,8 @@ class TestGridStart:
         lt = independent_order(instance, GroundParams(2, 3, 2))
         value, witness = max_weight_antichain(instance, weights)
         assert calls == [2 * len(instance) + 1]
-        assert value == len(witness) == brute_max_weight(comparability_masks(lt), weights)
+        assert value == brute_max_weight(comparability_masks(lt), weights)
+        assert value == sum(weights[x] for x in witness.members)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -537,7 +581,7 @@ class TestGridStart:
                 for r in range(p + q + 1):
                     instance = build_ball(GroundParams(p, q, r))
                     warm, _, used = klym_both_routes(instance)
-                    assert used, (p, q, r)
+                    assert used == shares_a_cell(instance), (p, q, r)
                     assert warm == network_route(check_klym, instance), (p, q, r)
                     count += 1
         assert count == sum(p + q + 1 for p in range(1, 9) for q in range(9 - p))

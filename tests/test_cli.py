@@ -79,6 +79,16 @@ class TestWidth:
         assert payload["width"] == "2"
         assert sorted(payload["witness"]) == [1, 2]
 
+    def test_custom_poset_text(self, capsys, tmp_path):
+        # a custom poset's members are plain ids, printed as they are
+        doc = tmp_path / "poset.json"
+        doc.write_text(json.dumps({"elements": 3, "relations": [[0, 1]]}))
+        rc, out, _ = run(["width", "--custom-poset", str(doc)], capsys)
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == "width 2 over 3 elements"
+        assert sorted(lines[1:]) == ["  1", "  2"]
+
     def test_needs_parameters_or_file(self, capsys):
         rc, _, err = run(["width"], capsys)
         assert rc == 2 and "need either" in err
