@@ -59,10 +59,9 @@ def width(
     instance: PosetInstance, matching_budget: int = DEFAULT_MATCHING_BUDGET
 ) -> tuple[int, AntichainWitness]:
     """Longest antichain size plus one witness antichain of that size."""
-    n = len(instance)
     pair_l, pair_r, msize = _matching(instance, matching_budget)
     members = konig_independent(instance.up_masks(), pair_l, pair_r)
-    w = n - msize
+    w = len(instance) - msize
     if len(members) != w or not instance.is_antichain(members):
         raise InternalConsistencyError(
             f"matching says width {w} but the extracted witness has "
@@ -124,8 +123,7 @@ def _residual_sides(
     covers, lowers = instance.covers, instance.lower_covers()
     s, t = 2 * n, 2 * n + 1
     inflow = [0] * n
-    up: list[list[int]] = []  # in(y) for each cover carrying flow out of x
-    down: list[list[int]] = [[] for _ in range(n)]
+    down: list[list[int]] = [[] for _ in range(n)]  # out(x) per cover x -> y with flow
     for x, ys in enumerate(covers):
         flows = cover_flow[x]
         if len(flows) != len(ys) or min(flows, default=0) < 0:
@@ -139,7 +137,6 @@ def _residual_sides(
             if f:
                 inflow[y] += f
                 down[y].append(2 * x + 1)
-        up.append([2 * y for y, f in zip(ys, flows) if f])
     for x, w in enumerate(weights):
         if lowers[x] and inflow[x] != through[x]:
             raise InternalConsistencyError(
@@ -171,7 +168,8 @@ def _residual_sides(
             return [2 * x + 1 for x in range(n) if not covers[x]]
         x = v >> 1
         if v & 1:
-            return [v - 1, *up[x]] + [t] * (not covers[x] and through[x] > 0)
+            carried = [2 * y for y, f in zip(covers[x], cover_flow[x]) if f]
+            return [v - 1, *carried] + [t] * (not covers[x] and through[x] > 0)
         return [2 * y + 1 for y in lowers[x]] + [v + 1] * slack[x] + [s] * (not lowers[x])
 
     t_side = reach(t, heads)
@@ -189,8 +187,7 @@ def _min_flow(
     element, and the units along each of its upper covers, parallel to
     `instance.covers`.  Minimal elements draw their throughput from the
     source, maximal ones send it to the sink.  Without one the first-cover
-    chain start is used.  Any start is checked before use; one that breaks
-    conservation or a lower bound raises InternalConsistencyError.
+    chain start is used; `_residual_sides` checks any start before use.
 
     If t does not reach s in the start's residual graph, the start is
     minimum and no network is built: its sides are what the network's
@@ -202,8 +199,7 @@ def _min_flow(
     sides of the final flow, and that flow in the start's form.
     """
     n = len(instance)
-    covers = instance.covers
-    lowers = instance.lower_covers()
+    covers, lowers = instance.covers, instance.lower_covers()
     s, t = 2 * n, 2 * n + 1
     through, cover_flow = start if start is not None else _chain_start(instance, weights)
     del start
@@ -381,6 +377,9 @@ def is_unique_max_antichain(
     members = set(
         candidate.members if isinstance(candidate, AntichainWitness) else candidate
     )
+    n = len(instance)
+    if not all(type(x) is int and 0 <= x < n for x in members):
+        raise ValueError(f"candidate element ids must be integers in 0..{n - 1}")
     if not instance.is_antichain(sorted(members)):
         raise ValueError("candidate is not an antichain")
     w, _ = width(instance, matching_budget)

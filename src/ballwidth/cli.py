@@ -70,6 +70,8 @@ def _positive(text: str) -> int:
 def _instance_from_args(args: argparse.Namespace, sphere: bool = False):
     """Poset selected on the command line: a ball, a sphere, or a file."""
     if args.custom_poset is not None:
+        if (args.p, args.q, args.r) != (None, None, None):
+            raise ValueError("give either -p/-q/-r or --custom-poset, not both")
         document = json.loads(Path(args.custom_poset).read_text())
         return load_custom_poset(document, args.budget), None
     if args.p is None or args.q is None or args.r is None:

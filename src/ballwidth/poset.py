@@ -79,9 +79,9 @@ class PosetInstance:
     """A fully materialised poset with covers and heights.
 
     Built families carry Element entries plus their coordinates; custom
-    posets carry opaque integer ids and no coordinate structure.  The
-    width engines memoise their Hopcroft-Karp matching (pair_l, pair_r,
-    size) and their unit-weight extreme cuts (value, from_t, from_s) here.
+    posets carry opaque integer ids.  The order closure is the matching
+    engine's input, built on the first `up_masks()`; the width engines
+    memoise their matching and their unit-weight extreme cuts here too.
     """
 
     elements: list
@@ -104,11 +104,7 @@ class PosetInstance:
         """Strict up-set of every element, as index bit sets."""
         if self._up is None:
             up = [0] * len(self.elements)
-            for x in sorted(
-                range(len(self.elements)),
-                key=lambda k: self.height_of[k],
-                reverse=True,
-            ):
+            for x in sorted(range(len(up)), key=self.height_of.__getitem__, reverse=True):
                 acc = 0
                 for y in self.covers[x]:
                     acc |= up[y] | (1 << y)
@@ -126,11 +122,18 @@ class PosetInstance:
         return self._lower
 
     def is_antichain(self, members: list[int]) -> bool:
-        up = self.up_masks()
-        mask = 0
-        for x in members:
-            mask |= 1 << x
-        return all(up[x] & mask == 0 for x in members)
+        """No member lies above another, searched breadth-first up the covers."""
+        height_of, covers, wanted = self.height_of, self.covers, set(members)
+        # every cover raises the height: no search above the highest member
+        top = max((height_of[x] for x in wanted), default=-1)
+        frontier, seen = wanted, set()
+        while frontier:
+            frontier = {y for x in frontier for y in covers[x] if height_of[y] <= top}
+            if frontier & wanted:
+                return False
+            frontier -= seen
+            seen |= frontier
+        return True
 
 
 def masks_with_popcount(width: int, k: int) -> Iterator[int]:
@@ -287,7 +290,8 @@ def load_custom_poset(
 
     Each pair asserts u strictly below v; the order is the transitive
     closure of the pairs and must be acyclic.  The element count is held
-    to the budget before the cubic closure starts.
+    to the budget before the relations are read.  Heights and covers come
+    from the pairs in topological order; the closure waits for `up_masks()`.
     """
     if not isinstance(document, dict):
         raise CustomPosetError("document must be an object with elements/relations")
@@ -303,7 +307,8 @@ def load_custom_poset(
     if not isinstance(relations, list):
         raise CustomPosetError("relations must be a list of [below, above] pairs")
 
-    up = [0] * n
+    succ: list[list[int]] = [[] for _ in range(n)]
+    below = [0] * n  # pairs naming each element as the upper end
     for pos, pair in enumerate(relations):
         if (
             not isinstance(pair, (list, tuple))
@@ -318,43 +323,36 @@ def load_custom_poset(
             )
         if u == v:
             raise CustomPosetError(f"relation #{pos} makes {u} below itself")
-        up[u] |= 1 << v
+        succ[u].append(v)
+        below[v] += 1
 
-    for k in range(n):  # transitive closure, Warshall style
-        kbit = 1 << k
-        for u in range(n):
-            if up[u] & kbit:
-                up[u] |= up[k]
-    for u in range(n):
-        if up[u] >> u & 1:
-            raise CustomPosetError(f"the order contains a cycle through {u}")
-
-    down = [0] * n
-    for u in range(n):
-        rest = up[u]
-        while rest:
-            bit = rest & -rest
-            down[bit.bit_length() - 1] |= 1 << u
-            rest ^= bit
-
-    covers: list[list[int]] = []
-    for u in range(n):
-        ups: list[int] = []
-        rest = up[u]
-        while rest:
-            bit = rest & -rest
-            v = bit.bit_length() - 1
-            if up[u] & down[v] == 0:  # nothing strictly between
-                ups.append(v)
-            rest ^= bit
-        covers.append(ups)
-
+    # Kahn; heights are longest chains of pairs, as every cover is a pair
+    waiting = below[:]
+    order = [u for u in range(n) if not waiting[u]]
     height_of = [0] * n
-    for v in sorted(range(n), key=lambda v: up[v].bit_count(), reverse=True):
-        # larger strict up-set = lower in the order; safe processing order
-        for w in covers[v]:
-            height_of[w] = max(height_of[w], height_of[v] + 1)
+    for u in order:
+        for v in succ[u]:
+            height_of[v] = max(height_of[v], height_of[u] + 1)
+            waiting[v] -= 1
+            if not waiting[v]:
+                order.append(v)
+    if len(order) < n:
+        raise CustomPosetError("the order contains a cycle")
 
-    instance = PosetInstance(list(range(n)), covers, height_of, None)
-    instance._up = up
-    return instance
+    # covers: successors in no other successor's up-set, which is dropped
+    # once the last element below it has read it
+    up: list = [None] * n
+    covers: list[list[int]] = [[]] * n  # every entry is replaced
+    for u in reversed(order):
+        above = bits = 0
+        for v in succ[u]:
+            above |= up[v]
+            bits |= 1 << v
+            below[v] -= 1
+            if not below[v]:
+                up[v] = None
+        covers[u] = sorted({v for v in succ[u] if not above >> v & 1})
+        if below[u]:
+            up[u] = above | bits
+
+    return PosetInstance(list(range(n)), covers, height_of, None)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import ballwidth.antichains as antichains_module
 from ballwidth.antichains import (
+    AntichainWitness,
     check_klym,
     flow_width,
     is_unique_max_antichain,
@@ -219,6 +220,22 @@ class TestGuards:
             is_unique_max_antichain(instance, [0, 1])  # comparable pair
         with pytest.raises(ValueError):
             is_unique_max_antichain(instance, [2])  # not maximum
+
+    @pytest.mark.parametrize("bad", [16, -1, 1.5, True, "0"])
+    def test_unique_candidate_ids_are_checked_first(self, monkeypatch, bad):
+        # B_2[2,3] has 16 elements: an id must be an int in 0..15, and it is
+        # refused before the antichain check or either engine runs
+        instance = build_ball(GroundParams(2, 3, 2))
+
+        def planted(*args, **kwargs):
+            raise AssertionError("work started on a bad candidate")
+
+        monkeypatch.setattr(PosetInstance, "is_antichain", planted)
+        for name in ("width", "_unit_extremes"):
+            monkeypatch.setattr(antichains_module, name, planted)
+        for candidate in ([bad], AntichainWitness((0, bad))):
+            with pytest.raises(ValueError, match="element ids"):
+                is_unique_max_antichain(instance, candidate)
 
     def test_klym_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -557,6 +574,16 @@ class TestGridStart:
         assert antichains_module._residual_sides(chain, weights, *start) is not None
         assert start[0][0] == max(weights)  # all of it leaves the bottom element
         assert antichains_module._min_flow(chain, weights)[0] == max(weights)
+
+    def test_flow_route_builds_no_closure(self):
+        # only the matching engine reads the order closure
+        sphere = build_sphere(GroundParams(9, 9, 5), 5)
+        assert check_klym(sphere).holds
+        ball = build_ball(GroundParams(4, 4, 3))
+        flow_width(ball)
+        assert sphere._up is None and ball._up is None
+        width(ball)
+        assert ball._up is not None
 
     def test_sphere_as_custom_poset_builds_no_network(self, monkeypatch):
         sphere = build_sphere(GroundParams(9, 9, 5), 5)

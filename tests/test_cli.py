@@ -98,7 +98,7 @@ class TestWidth:
         assert rc == 2 and "budget exceeded" in err
 
     def test_budget_bounds_custom_poset_before_closure(self, capsys, tmp_path):
-        # a cycle is only found by the closure, so the budget must speak first
+        # a cycle shows only once the relations are read; the budget speaks first
         doc = tmp_path / "cycle.json"
         doc.write_text(json.dumps({"elements": 3, "relations": [[0, 1], [1, 2], [2, 0]]}))
         rc, _, err = run(["width", "--custom-poset", str(doc), "--budget", "2"], capsys)
@@ -346,6 +346,18 @@ class TestErrorPaths:
         doc.write_text(json.dumps({"elements": 2, "relations": [[0, 0]]}))
         rc, _, err = run(["width", "--custom-poset", str(doc)], capsys)
         assert rc == 2 and "below itself" in err
+
+    @pytest.mark.parametrize("command", ["width", "klym"])
+    @pytest.mark.parametrize("flag", ["-p", "-q", "-r"])
+    def test_custom_poset_with_numbers_is_bad_usage(self, capsys, tmp_path, command, flag):
+        # a run takes its poset from a file or from numbers, never both
+        doc = tmp_path / "poset.json"
+        doc.write_text(json.dumps({"elements": 3, "relations": [[0, 1]]}))
+        rc, out, err = run([command, flag, "2", "--custom-poset", str(doc)], capsys)
+        assert rc == 2 and out == "" and "not both" in err
+        argv = [command, "-p", "2", "-q", "3", "-r", "2", "--custom-poset", str(doc)]
+        rc, out, err = run(argv, capsys)
+        assert rc == 2 and out == "" and "not both" in err
 
     def test_deterministic_output(self, capsys):
         rc, a, _ = run(["table", "-p", "4", "-q", "4", "-r", "3", "--format", "json"], capsys)

@@ -32,6 +32,11 @@ def as_subsets(instance, params):
     return [subset_of(e, params) for e in instance.elements]
 
 
+def is_antichain_by_closure(lt, members):
+    mask = sum(1 << x for x in set(members))
+    return all(lt[x] & mask == 0 for x in members)
+
+
 class TestElements:
     def test_coord_counts_bits(self):
         assert Element(0b101, 0b0110).coord == (2, 2)
@@ -143,6 +148,15 @@ class TestPosetInstance:
         assert inst.is_antichain([2, 3])
         assert not inst.is_antichain([1, 2])
 
+    @given(st.sampled_from(SMALL_BALLS), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_is_antichain_matches_the_closure(self, pqr, sphere, data):
+        params = GroundParams(*pqr)
+        inst = build_sphere(params, params.r) if sphere else build_ball(params)
+        lt = strict_less_masks(as_subsets(inst, params))
+        members = data.draw(st.lists(st.integers(0, len(inst) - 1), max_size=6))
+        assert inst.is_antichain(members) == is_antichain_by_closure(lt, members)
+
     def test_topological_order(self):
         inst = build_ball(GroundParams(2, 3, 2))
         up = inst.up_masks()
@@ -201,11 +215,23 @@ class TestCustomPoset:
 
     def test_closure_and_covers(self):
         inst = load_custom_poset(
-            {"elements": 4, "relations": [[0, 1], [1, 2], [0, 3]]}
+            {"elements": 4, "relations": [[0, 1], [1, 2], [0, 3], [0, 2], [0, 1]]}
         )
-        # 0<2 comes from the closure, so 2 does not cover 0
-        assert inst.covers[0] == [1, 3]
+        # 0<2 also follows through 1, so 2 does not cover 0; the repeated
+        # 0<1 is accepted, and the closure waits for the first up_masks()
+        assert inst.covers == [[1, 3], [2], [], []]
+        assert inst._up is None
         assert inst.up_masks()[0] == 0b1110
+
+    def test_cover_skipping_a_height(self):
+        # 3 < 2 jumps from height 0 to 2, past the level of 1
+        inst = load_custom_poset(
+            {"elements": 4, "relations": [[0, 1], [1, 2], [3, 2]]}
+        )
+        assert inst.height_of == [0, 1, 2, 0]
+        assert inst.covers == [[1], [2], [], [2]]
+        assert inst.is_antichain([1, 3]) and inst.is_antichain([0, 3])
+        assert not inst.is_antichain([3, 2]) and not inst.is_antichain([0, 2, 3])
 
     @given(st.data())
     @settings(max_examples=80)
@@ -221,6 +247,9 @@ class TestCustomPoset:
         )
         inst = load_custom_poset({"elements": n, "relations": [list(t) for t in pairs]})
         lt = closure_from_pairs(n, pairs)
+        assert inst._up is None
+        members = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+        assert inst.is_antichain(members) == is_antichain_by_closure(lt, members)
         assert inst.up_masks() == lt
         assert inst.height_of == brute_heights(lt)
         assert [sorted(c) for c in inst.covers] == brute_covers(lt)
@@ -242,13 +271,21 @@ class TestCustomPoset:
                 load_custom_poset(document)
 
     def test_budget_checked_before_closure(self):
-        # the cycle is only visible after the closure; the budget must win
+        # the cycle shows only once the relations are read; the budget must win
         cyclic = {"elements": 3, "relations": [[0, 1], [1, 2], [2, 0]]}
         with pytest.raises(BudgetExceededError) as err:
             load_custom_poset(cyclic, element_budget=2)
         assert err.value.required == 3 and err.value.budget == 2
         with pytest.raises(CustomPosetError):
             load_custom_poset(cyclic, element_budget=3)
+        with pytest.raises(BudgetExceededError):
+            load_custom_poset({"elements": 3, "relations": "unread"}, element_budget=2)
+
+    def test_cycle_below_another_element(self):
+        # 3 sits above the cycle 0 < 1 < 2 < 0 and is on no cycle itself
+        document = {"elements": 5, "relations": [[0, 1], [1, 2], [2, 0], [2, 3]]}
+        with pytest.raises(CustomPosetError, match="cycle"):
+            load_custom_poset(document)
 
     def test_empty_poset_allowed(self):
         assert len(load_custom_poset({"elements": 0})) == 0
