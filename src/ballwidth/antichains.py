@@ -7,8 +7,9 @@ Two engines that must agree:
 * a minimum flow with per-element lower bounds gives the heaviest
   antichain under nonnegative integer weights.  One routine, `_heaviest`,
   starts it from the cell grid's min-flow lifted onto the elements (on a
-  ball or sphere an optimum, so no element-level network is built), else
-  from first-cover chains, and checks both extreme cuts it reads off.
+  ball or sphere the grid comes from its diagram and the lift is an
+  optimum, so no element-level network is built), else from first-cover
+  chains, and checks both extreme cuts it reads off.
 
 Whenever both run on the same instance the values are cross-checked and a
 disagreement raises InternalConsistencyError, never a wrong answer.
@@ -16,17 +17,23 @@ disagreement raises InternalConsistencyError, never a wrong answer.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from math import lcm
+from operator import gt
 
 from .errors import BudgetExceededError, InternalConsistencyError
-from .flows import FlowNetwork, reach
+from .flows import FlowNetwork
 from .matching import hopcroft_karp, konig_independent
 from .poset import PosetInstance
 
 DEFAULT_MATCHING_BUDGET = 20000
-Sides = tuple[set[int], set[int]]  # residual t side and s side of a flow network
+Sides = tuple[bytearray, bytearray]  # residual t side and s side, a mark per node
+# a cell grid: each element's cell, and per cell its size, its height, its
+# row of upper-cover cells (one entry per cover of an element) and its weight
+Grid = tuple[list[int], list[int], list[int], list[list[int]], list[int]]
 
 
 @dataclass(frozen=True)
@@ -112,68 +119,103 @@ def _residual_sides(
 ) -> Sides | None:
     """The t side and s side of a start's residual graph; None if t reaches s.
 
-    The same pass over the covers checks the start: one that breaks
+    One pass over the covers checks the start first: one that breaks
     conservation or a lower bound raises InternalConsistencyError.  The
     arcs are those of `_min_flow`'s network before the cancel, with
     in(x) = 2x, out(x) = 2x + 1, s = 2n, t = 2n + 1: in -> out, out(x) ->
     in(y) on a cover, s -> in and out -> t are always open; out -> in iff
     the throughput exceeds the weight, other reverse arcs iff they carry flow.
+    Each side is a stack walk over the covers that marks the nodes it
+    reaches in a bytearray indexed like the network; the t-side walk gives
+    up as soon as it reaches s.
     """
     n = len(instance)
     covers, lowers = instance.covers, instance.lower_covers()
-    s, t = 2 * n, 2 * n + 1
-    inflow = [0] * n
-    down: list[list[int]] = [[] for _ in range(n)]  # out(x) per cover x -> y with flow
-    for x, ys in enumerate(covers):
-        flows = cover_flow[x]
-        if len(flows) != len(ys) or min(flows, default=0) < 0:
+    if len(through) != n or len(cover_flow) != n:
+        raise InternalConsistencyError(f"starting flow is not over {n} elements")
+    row = None
+    for x, ys, flows, f in zip(range(n), covers, cover_flow, through):
+        if flows is not row:  # a lift shares one row of flows per cell
+            row, out, negative = flows, sum(flows), min(flows, default=0) < 0
+        if negative or len(ys) != len(flows):
             raise InternalConsistencyError(f"starting flow is malformed at element {x}")
-        if ys and sum(flows) != through[x]:
+        if ys and out != f:
             raise InternalConsistencyError(
-                f"starting flow leaves element {x} with {sum(flows)} units, "
-                f"not its throughput {through[x]}"
+                f"starting flow leaves element {x} with {out} units, "
+                f"not its throughput {f}"
             )
-        for y, f in zip(ys, flows):
-            if f:
-                inflow[y] += f
-                down[y].append(2 * x + 1)
-    for x, w in enumerate(weights):
-        if lowers[x] and inflow[x] != through[x]:
+    inflow = [0] * n
+    # every row of flows is as long as its covers, so the flat lists align
+    for y, g in zip(chain.from_iterable(covers), chain.from_iterable(cover_flow)):
+        inflow[y] += g
+    for x, (zs, f_in, f, w) in enumerate(zip(lowers, inflow, through, weights)):
+        if zs and f_in != f:
             raise InternalConsistencyError(
-                f"starting flow brings {inflow[x]} units into element {x}, "
-                f"not its throughput {through[x]}"
+                f"starting flow brings {f_in} units into element {x}, "
+                f"not its throughput {f}"
             )
-        if through[x] < w:
+        if f < w:
             raise InternalConsistencyError(
-                f"starting flow carries {through[x]} units through element {x}, "
+                f"starting flow carries {f} units through element {x}, "
                 f"below its weight {w}"
             )
     del inflow
-    slack = [f > w for f, w in zip(through, weights)]
+    slack = [f > w for f, w in zip(through, weights)]  # out(x) -> in(x) open
 
-    def heads(u: int) -> list[int]:
-        if u == s:
-            return [2 * x for x in range(n) if not lowers[x]]
-        if u == t:
-            return [2 * x + 1 for x in range(n) if not covers[x] and through[x]]
-        x = u >> 1
-        if u & 1:
-            return [2 * y for y in covers[x]] + [u - 1] * slack[x] + [t] * (not covers[x])
-        return [u + 1, *down[x]] + [s] * (not lowers[x] and through[x] > 0)
+    # t side: t -> out(x) on a maximal element with flow; out(x) reaches in(y)
+    # on every cover and in(x) over slack; in(y) reaches out(y), out(x) on
+    # each carried lower cover, and s on a minimal element with flow
+    t_in, t_out = bytearray(n), bytearray(n)
+    stack = [x for x, ys in enumerate(covers) if not ys and through[x]]
+    for x in stack:
+        t_out[x] = 1
+    while stack:
+        x = stack.pop()
+        for y in [*covers[x], x] if slack[x] else covers[x]:
+            if t_in[y]:
+                continue
+            t_in[y] = 1
+            if through[y] and not lowers[y]:
+                return None
+            if not t_out[y]:
+                t_out[y] = 1
+                stack.append(y)
+            for z in lowers[y]:
+                if not t_out[z] and cover_flow[z][covers[z].index(y)]:
+                    t_out[z] = 1
+                    stack.append(z)
 
-    def tails(v: int) -> list[int]:
-        if v == s:
-            return [2 * x for x in range(n) if not lowers[x] and through[x]]
-        if v == t:
-            return [2 * x + 1 for x in range(n) if not covers[x]]
-        x = v >> 1
-        if v & 1:
-            carried = [2 * y for y, f in zip(covers[x], cover_flow[x]) if f]
-            return [v - 1, *carried] + [t] * (not covers[x] and through[x] > 0)
-        return [2 * y + 1 for y in lowers[x]] + [v + 1] * slack[x] + [s] * (not lowers[x])
+    # s side, walked backwards: in(y) -> s on a minimal element with flow;
+    # in(y) is reached from out(z) on every lower cover and from out(y) over
+    # slack; out(z) from in(z), and from in(y) on each carried upper cover
+    s_in, s_out = bytearray(n), bytearray(n)
+    stack = [y for y, zs in enumerate(lowers) if not zs and through[y]]
+    for y in stack:
+        s_in[y] = 1
+    while stack:
+        y = stack.pop()
+        for z in [*lowers[y], y] if slack[y] else lowers[y]:
+            if s_out[z]:
+                continue
+            s_out[z] = 1
+            if not s_in[z]:
+                s_in[z] = 1
+                stack.append(z)
+            for v, f in zip(covers[z], cover_flow[z]):
+                if f and not s_in[v]:
+                    s_in[v] = 1
+                    stack.append(v)
+    return _interleave(t_in, t_out, 2 * n + 1), _interleave(s_in, s_out, 2 * n)
 
-    t_side = reach(t, heads)
-    return None if s in t_side else (t_side, reach(s, tails))
+
+def _interleave(ins: bytearray, outs: bytearray, end: int) -> bytearray:
+    """One mark per network node: in(x), out(x), then s and t, with `end` set."""
+    n = len(ins)
+    marks = bytearray(2 * n + 2)
+    marks[0 : 2 * n : 2] = ins
+    marks[1 : 2 * n : 2] = outs
+    marks[end] = 1
+    return marks
 
 
 def _min_flow(
@@ -190,8 +232,8 @@ def _min_flow(
     chain start is used; `_residual_sides` checks any start before use.
 
     If t does not reach s in the start's residual graph, the start is
-    minimum and no network is built: its sides are what the network's
-    `residual_reachable(t)` and `residual_coreachable(s)` would return.
+    minimum and no network is built: its sides mark the nodes that the
+    network's `residual_reachable(t)` and `residual_coreachable(s)` return.
     Otherwise the network cancels flow from t back to s.  The sides are
     the same for every minimum flow, so the start never changes a cut.
 
@@ -230,33 +272,33 @@ def _min_flow(
     # slot 2x is element x's pair, which carries its throughput above its weight
     through = [w + net.flow_on(2 * x) for x, w in enumerate(weights)]
     cover_flow = [[net.flow_on(e) for e in row] for row in slots]
-    sides = net.residual_reachable(t), net.residual_coreachable(s)
+    sides = tuple(
+        bytearray(u in side for u in range(2 * n + 2))
+        for side in (net.residual_reachable(t), net.residual_coreachable(s))
+    )
     return value, sides, (through, cover_flow)
 
 
 def _cut_antichains(sides: Sides, weights: list[int]) -> tuple[list[int], list[int]]:
     """The two extreme maximum cuts of a minimum flow, read as antichains."""
-    t_side, s_side = sides
-    heavy = [x for x, w in enumerate(weights) if w > 0]
-    from_t = [x for x in heavy if 2 * x + 1 in t_side and 2 * x not in t_side]
-    from_s = [x for x in heavy if 2 * x in s_side and 2 * x + 1 not in s_side]
-    return from_t, from_s
+    n = len(weights)
+
+    def cut(side: bytearray, near: int) -> list[int]:
+        # x is on the cut when the side marks its near node but not the other
+        on_cut = map(gt, side[near : 2 * n : 2], side[1 - near : 2 * n : 2])
+        return [x for x in compress(range(n), on_cut) if weights[x] > 0]
+
+    return cut(sides[0], 1), cut(sides[1], 0)
 
 
-def _grid_start(instance: PosetInstance, weights: list[int]) -> tuple[int, tuple] | None:
-    """(L, start): a minimum flow of the cell grid, lifted onto the elements.
+def _element_grid(instance: PosetInstance, weights: list[int]) -> Grid | None:
+    """The cell grid found element by element, for a poset with no diagram.
 
-    The cells X_c are the sublayers, or a custom poset's height layers.
-    Every element of X_c must weigh w_c, send d(c -> c') covers into each
-    X_c' in the same order, and take its lower covers from the same cells,
-    else this returns None; so covers between cells are biregular.  The
-    grid's min-flow (T, F) with demand w_c |X_c| comes from `_min_flow` on
-    the cell poset.  With L = lcm(|X_c|, |X_c| d(c -> c')) each element of
-    X_c carries T_c L / |X_c|, sends F(c -> c') L / (|X_c| d(c -> c')) along
-    each cover into X_c' and weighs w_c L, all integral.  On a ball or
-    sphere S_p x S_q is transitive on each sublayer, so the lift's value is
-    L times the heaviest antichain (orbit averaging: comparability graphs
-    are perfect, Lovasz 1972) and the lift is minimum.
+    The cells are the sublayers, or a custom poset's height layers, numbered
+    by first element.  Every element of a cell must weigh the same, and send
+    its covers into the same row of cells and take its lower covers from
+    the same row, else this returns None; so covers between cells are
+    biregular.  None too when every cell holds one element.
     """
     cells = instance.sublayer_of if instance.sublayer_of is not None else instance.height_of
     index: dict = {}
@@ -272,17 +314,71 @@ def _grid_start(instance: PosetInstance, weights: list[int]) -> tuple[int, tuple
             return None
         sizes[cell[x]] += 1
         heights[cell[x]] = instance.height_of[x]
-    outs = [rows[c][1] for c in range(k)]
-    ups = [sorted(set(out)) for out in outs]
-    grid = PosetInstance(list(range(k)), ups, heights, None)
-    _, _, (through, flow) = _min_flow(grid, [rows[c][0] * sizes[c] for c in range(k)])
-    scale = lcm(*sizes, *(sizes[c] * outs[c].count(e) for c in range(k) for e in ups[c]))
-    row_flows = [
-        [flow[c][ups[c].index(e)] * scale // (sizes[c] * out.count(e)) for e in out]
-        for c, out in enumerate(outs)
-    ]
-    lifted = [through[c] * scale // sizes[c] for c in cell]
-    return scale, (lifted, [row_flows[c] for c in cell])
+    return cell, sizes, heights, [rows[c][1] for c in range(k)], [rows[c][0] for c in range(k)]
+
+
+def _diagram_grid(instance: PosetInstance, weights: list[int]) -> Grid | None:
+    """The cell grid of a built ball or sphere, read from its `QuotientDag`.
+
+    The cells are the sublayers, in `dag.coords` order, which is the order
+    of the elements' blocks; an edge c -> c' gives every element of c the
+    same `cover_count(c, c')` covers into c'.  None if the weights are not
+    constant on each sublayer, or if every sublayer holds one element.
+    """
+    dag = instance.dag
+    k = len(dag.coords)
+    if k == len(instance):  # every cell one element: the grid is the poset itself
+        return None
+    index = {c: at for at, c in enumerate(dag.coords)}
+    sizes = [dag.table.sizes[c] for c in dag.coords]
+    cell: list[int] = []
+    cell_weights: list[int] = []
+    for c, size in enumerate(sizes):
+        block = weights[len(cell) : len(cell) + size]
+        if block.count(block[0]) != size:
+            return None
+        cell_weights.append(block[0])
+        cell += [c] * size
+    rows: list[list[int]] = [[] for _ in range(k)]
+    for u, v in sorted(dag.edges, key=lambda e: index[e[1]]):  # element order
+        rows[index[u]] += [index[v]] * dag.cover_count(u, v)
+    heights = [dag.height_of[c] for c in dag.coords]
+    return cell, sizes, heights, rows, cell_weights
+
+
+def _grid_start(instance: PosetInstance, weights: list[int]) -> tuple[int, tuple] | None:
+    """(L, start): a minimum flow of the cell grid, lifted onto the elements.
+
+    A built ball or sphere reads its grid from its diagram (`_diagram_grid`),
+    any other poset discovers it element by element (`_element_grid`);
+    either returns None, and so does this, unless each cell X_c has one
+    weight w_c and every element of X_c sends d(c -> c') covers into each
+    X_c' in the same order.  The grid's min-flow (T, F) with demand
+    w_c |X_c| comes from `_min_flow` on the cell poset.  With
+    L = lcm(|X_c|, |X_c| d(c -> c')) each element of X_c carries
+    T_c L / |X_c|, sends F(c -> c') L / (|X_c| d(c -> c')) along each cover
+    into X_c' and weighs w_c L, all integral.  On a ball or sphere S_p x S_q
+    is transitive on each sublayer, so the lift's value is L times the
+    heaviest antichain (orbit averaging: comparability graphs are perfect,
+    Lovasz 1972) and the lift is minimum.  `_residual_sides` checks the
+    lift on the elements, so a wrong grid raises and never moves a cut.
+    """
+    grid = (_diagram_grid if instance.dag is not None else _element_grid)(instance, weights)
+    if grid is None:
+        return None
+    cell, sizes, heights, rows, cell_weights = grid
+    counts = [Counter(row) for row in rows]  # d(c -> c') by c'
+    ups = [sorted(d) for d in counts]
+    poset = PosetInstance(list(range(len(sizes))), ups, heights, None)
+    demand = [w * size for w, size in zip(cell_weights, sizes)]
+    _, _, (through, flow) = _min_flow(poset, demand)
+    scale = lcm(*sizes, *(size * d for size, ds in zip(sizes, counts) for d in ds.values()))
+    row_flows = []
+    for size, row, ds, up, fs in zip(sizes, rows, counts, ups, flow):
+        share = {e: f * scale // (size * ds[e]) for e, f in zip(up, fs)}
+        row_flows.append([share[e] for e in row])
+    lifted = [t * scale // size for t, size in zip(through, sizes)]
+    return scale, ([lifted[c] for c in cell], [row_flows[c] for c in cell])
 
 
 def _heaviest(

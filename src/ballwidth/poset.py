@@ -65,6 +65,19 @@ class QuotientDag:
     def top_height(self) -> int:
         return self.height_of[self.sink]
 
+    def cover_count(self, u: Coord, v: Coord) -> int:
+        """Upper covers in v of each element of u, for an edge u -> v.
+
+        A restore has i choices, a gain q - j, and the diagonal both at once.
+        """
+        i, j = u
+        free = self.table.params.q - j
+        if v == (i - 1, j):
+            return i
+        if v == (i, j + 1):
+            return free
+        return i * free
+
     def successors(self) -> dict[Coord, list[Coord]]:
         succ: dict[Coord, list[Coord]] = {c: [] for c in self.coords}
         for u, v in self.edges:
@@ -78,16 +91,20 @@ class QuotientDag:
 class PosetInstance:
     """A fully materialised poset with covers and heights.
 
-    Built families carry Element entries plus their coordinates; custom
-    posets carry opaque integer ids.  The order closure is the matching
-    engine's input, built on the first `up_masks()`; the width engines
-    memoise their matching and their unit-weight extreme cuts here too.
+    Built families carry Element entries, their coordinates and the
+    family's `QuotientDag`, whose sublayers hold the elements in contiguous
+    blocks, in `dag.coords` order; the flow route reads its cell grid from
+    that diagram.  Custom posets carry opaque integer ids and no diagram.
+    The order closure is the matching engine's input, built on the first
+    `up_masks()`; the width engines memoise their matching and their
+    unit-weight extreme cuts here too.
     """
 
     elements: list
     covers: list[list[int]]  # upper-cover adjacency, by element index
     height_of: list[int]
     sublayer_of: list[Coord] | None
+    dag: QuotientDag | None = None
     _up: list[int] | None = field(default=None, repr=False)
     _lower: list[list[int]] | None = field(default=None, repr=False)
     _matching: tuple[list[int], list[int], int] | None = field(
@@ -266,7 +283,7 @@ def _build_family(
         ups.sort()
         covers.append(ups)
 
-    return PosetInstance(elements, covers, height_of, sublayer_of)
+    return PosetInstance(elements, covers, height_of, sublayer_of, dag)
 
 
 def build_ball(

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from ballwidth.errors import BudgetExceededError, InternalConsistencyError
 from ballwidth.flows import FlowNetwork
 from ballwidth.poset import (
     PosetInstance,
+    QuotientDag,
     build_ball,
     build_sphere,
     load_custom_poset,
@@ -612,3 +615,109 @@ class TestGridStart:
                     assert warm == network_route(check_klym, instance), (p, q, r)
                     count += 1
         assert count == sum(p + q + 1 for p in range(1, 9) for q in range(9 - p))
+
+
+def sublayer_antichain_max(p, q, r, cell_weight):
+    """The heaviest antichain of B_r[p, q]'s sublayers, searched exhaustively.
+
+    Sublayer (i, j) weighs cell_weight[(i, j)] * C(p, i) * C(q, j) and lies
+    below (i', j') when i' <= i and j' >= j.
+    """
+    cells = [(i, j) for i in range(p + 1) for j in range(q + 1) if i + j <= r]
+
+    def comparable(a, b):
+        return (a[0] - b[0]) * (a[1] - b[1]) <= 0
+
+    def grow(chosen, start, total):
+        best = total
+        for k in range(start, len(cells)):
+            c = cells[k]
+            if not any(comparable(c, d) for d in chosen):
+                gain = cell_weight[c] * comb(p, c[0]) * comb(q, c[1])
+                best = max(best, grow(chosen + [c], k + 1, total + gain))
+        return best
+
+    return grow([], 0, 0)
+
+
+class TestDiagramGrid:
+    """Built balls and spheres read their cell grid from the diagram."""
+
+    def test_diagram_grid_equals_the_element_discovery(self):
+        # cells, sizes, heights, each cell's ordered row of upper-cover
+        # cells and the cell weights, on every ball and sphere with
+        # p + q <= 12, truncated radii included: this pins the closed forms
+        count = 0
+        for p in range(1, 13):
+            for q in range(13 - p):
+                for r in range(p + q + 1):
+                    params = GroundParams(p, q, r)
+                    for instance in (build_ball(params), build_sphere(params, r)):
+                        unit = [1] * len(instance)
+                        found = antichains_module._element_grid(instance, unit)
+                        read = antichains_module._diagram_grid(instance, unit)
+                        assert read == found, (p, q, r)
+                        assert (read is not None) == shares_a_cell(instance), (p, q, r)
+                        first = list(dict.fromkeys(instance.sublayer_of))
+                        assert first == instance.dag.coords, (p, q, r)
+                        count += 1
+        assert count == 2 * sum(p + q + 1 for p in range(1, 13) for q in range(13 - p))
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_planted_cover_count_raises(self, monkeypatch, delta):
+        # a restore count off on the ball, the diagonal (a sphere's only
+        # step) off on the sphere: the element check refuses the lift
+        real = QuotientDag.cover_count
+
+        def planted(self, u, v):
+            return real(self, u, v) + delta * (v[0] == u[0] - 1)
+
+        ball = build_ball(GroundParams(3, 3, 2))
+        sphere = build_sphere(GroundParams(4, 4, 2), 2)
+        monkeypatch.setattr(QuotientDag, "cover_count", planted)
+        with pytest.raises(InternalConsistencyError, match="starting flow"):
+            flow_width(ball)
+        with pytest.raises(InternalConsistencyError, match="starting flow"):
+            check_klym(sphere)
+
+    def test_sublayer_weights_match_the_network_and_brute_force(self, monkeypatch):
+        real = antichains_module._diagram_grid
+        read = []
+
+        def spy(*args):
+            grid = real(*args)
+            read.append(grid is not None)
+            return grid
+
+        monkeypatch.setattr(antichains_module, "_diagram_grid", spy)
+        rng = random.Random(7)
+        count = 0
+        for p in range(1, 8):
+            for q in range(8 - p):
+                for r in range(p + q + 1):
+                    params = GroundParams(p, q, r)
+                    instance = build_ball(params)
+                    cell_weight = {
+                        (i, j): rng.randrange(6)
+                        for i in range(p + 1)
+                        for j in range(q + 1)
+                    }
+                    weights = []
+                    for e in instance.elements:
+                        members = subset_of(e, params)
+                        i = p - sum(1 for k in members if k <= p)
+                        weights.append(cell_weight[i, len(members) - (p - i)])
+                    read.clear()
+                    value, witness = max_weight_antichain(instance, weights)
+                    assert read == [shares_a_cell(instance)], (p, q, r)
+                    assert (value, witness) == network_route(
+                        lambda i: max_weight_antichain(i, weights), instance
+                    ), (p, q, r)
+                    assert value == sublayer_antichain_max(p, q, r, cell_weight), (p, q, r)
+                    if len(instance) <= 16:
+                        lt = independent_order(instance, params)
+                        assert value == brute_max_weight(comparability_masks(lt), weights)
+                    assert instance.is_antichain(list(witness.members))
+                    assert sum(weights[x] for x in witness.members) == value
+                    count += 1
+        assert count == sum(p + q + 1 for p in range(1, 8) for q in range(8 - p))
