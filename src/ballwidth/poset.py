@@ -13,7 +13,9 @@ steps, as a sphere does) both at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from functools import cache
+from itertools import combinations
+from typing import NamedTuple
 
 from .combinatorics import (
     Ball,
@@ -77,14 +79,6 @@ class QuotientDag:
         if v == (i, j + 1):
             return free
         return i * free
-
-    def successors(self) -> dict[Coord, list[Coord]]:
-        succ: dict[Coord, list[Coord]] = {c: [] for c in self.coords}
-        for u, v in self.edges:
-            succ[u].append(v)
-        for lst in succ.values():
-            lst.sort()
-        return succ
 
 
 @dataclass(eq=False)
@@ -153,20 +147,9 @@ class PosetInstance:
         return True
 
 
-def masks_with_popcount(width: int, k: int) -> Iterator[int]:
+def masks_with_popcount(width: int, k: int) -> list[int]:
     """All width-bit masks with exactly k bits set, ascending."""
-    if k == 0:
-        yield 0
-        return
-    if k > width:
-        return
-    v = (1 << k) - 1
-    limit = 1 << width
-    while v < limit:
-        yield v
-        u = v & -v
-        w = v + u
-        v = w | (((v ^ w) >> 2) // u)
+    return sorted(sum(1 << b for b in bits) for bits in combinations(range(width), k))
 
 
 def _family_edges(coords: set[Coord]) -> list[tuple[Coord, Coord]]:
@@ -232,56 +215,56 @@ def _build_family(
     if total > element_budget:
         raise BudgetExceededError(total, element_budget)
 
+    masks = cache(masks_with_popcount)
+
+    @cache
+    def steps(width: int, k: int, t: int) -> list[list[int]]:
+        # per k-bit mask, the ascending ranks of its t-bit steps: itself
+        # when t == k, else the masks one bit flip away, which ascend as
+        # the flipped bit falls for t < k and as it rises for t > k
+        if t == k:
+            return [[r] for r in range(len(masks(width, k)))]
+        rank = {m: r for r, m in enumerate(masks(width, t))}
+        flips = [1 << b for b in range(width)]
+        if t < k:
+            flips.reverse()
+        return [[rank[m ^ f] for f in flips if (m ^ f) in rank] for m in masks(width, k)]
+
+    # Block c = (i, j) is its drop masks times its gain masks, each
+    # ascending: element (d, g) sits at first[c] + d * len(masks(q, j)) + g.
+    # An edge c -> c' steps each side by one flip or none, so (d, g) covers
+    # (d', g') of c' for every side step d -> d' and g -> g'.  Edges come by
+    # tail, then head, so each cover list is ascending; its entries are the
+    # shared ints of `ids`.
+    p, q = params.p, params.q
     elements: list[Element] = []
     sublayer_of: list[Coord] = []
     height_of: list[int] = []
+    first: dict[Coord, int] = {}
     for c in dag.coords:  # already (height, i, j) ordered
         i, j = c
-        h = dag.height_of[c]
-        for rm in masks_with_popcount(params.p, i):
-            for am in masks_with_popcount(params.q, j):
-                elements.append(Element(rm, am))
-                sublayer_of.append(c)
-                height_of.append(h)
+        first[c] = len(elements)
+        elements += [Element(rm, am) for rm in masks(p, i) for am in masks(q, j)]
+        block = len(elements) - first[c]
+        sublayer_of += [c] * block
+        height_of += [dag.height_of[c]] * block
     if len(elements) != total:
         raise GradedQuotientError(
             f"enumerated {len(elements)} elements, expected {total}"
         )
 
-    # Element is a NamedTuple, so a plain (removal, addition) pair finds it
-    index = {e: k for k, e in enumerate(elements)}
-    succ = dag.successors()
-    full = (1 << params.q) - 1
-    covers: list[list[int]] = []
-    for k, (removal, addition) in enumerate(elements):
-        i, j = sublayer_of[k]
-        ups: list[int] = []
-        for ci, cj in succ[(i, j)]:
-            di, dj = i - ci, cj - j
-            if (di, dj) == (1, 0):
-                rm = removal
-                while rm:
-                    bit = rm & -rm
-                    ups.append(index[removal ^ bit, addition])
-                    rm ^= bit
-            elif (di, dj) == (0, 1):
-                free = ~addition & full
-                while free:
-                    bit = free & -free
-                    ups.append(index[removal, addition | bit])
-                    free ^= bit
-            else:  # (1, 1): both moves at once
-                rm = removal
-                while rm:
-                    rbit = rm & -rm
-                    free = ~addition & full
-                    while free:
-                        abit = free & -free
-                        ups.append(index[removal ^ rbit, addition | abit])
-                        free ^= abit
-                    rm ^= rbit
-        ups.sort()
-        covers.append(ups)
+    ids = list(range(total))
+    covers: list[list[int]] = [[] for _ in ids]
+    for (i, j), (ti, tj) in sorted(dag.edges):
+        gain_steps = steps(q, j, tj)
+        size = len(masks(q, tj))
+        base = first[ti, tj]
+        k = first[i, j]
+        for drop in steps(p, i, ti):
+            row = [base + d * size for d in drop]
+            for gain in gain_steps:
+                covers[k] += [ids[a + g] for a in row for g in gain]
+                k += 1
 
     return PosetInstance(elements, covers, height_of, sublayer_of, dag)
 

@@ -109,9 +109,10 @@ def _verify(
     if ball_size <= element_budget and ball_size <= matching_budget:
         instance = build_ball(params, element_budget)
         if in_regime:
-            # closed-form heights must agree with the longest-path ones
-            for k, c in enumerate(instance.sublayer_of):
-                if instance.height_of[k] != r - c[0] + c[1]:
+            # closed-form heights must agree with the longest-path ones,
+            # which every element of a sublayer takes from the diagram
+            for c in dag.coords:
+                if dag.height_of[c] != r - c[0] + c[1]:
                     raise InternalConsistencyError(
                         f"height of sublayer {c} deviates from r - i + j"
                     )
@@ -193,18 +194,30 @@ def sweep_tuples(
 
 
 def _load_records(path: Path) -> dict[tuple[int, int, int], SweepRecord]:
+    """The records of a log about to be resumed.
+
+    Every record is written with its newline, so every whole line must be
+    a record, and bytes after the last newline are a line torn by an
+    interrupted run: they are cut from the file, so the next record starts
+    a line of its own.  A tail that does not start like a record is no
+    torn line, and the file is refused untouched.
+    """
+    data = path.read_bytes()
+    whole = data.rfind(b"\n") + 1
+    lines = data[:whole].decode().splitlines()
+    if not b'{"p": '.startswith(data[whole : whole + 6]):  # how every record starts
+        raise ValueError(f"{path}:{len(lines) + 1}: unreadable sweep record")
     done: dict[tuple[int, int, int], SweepRecord] = {}
-    lines = path.read_text().splitlines()
     for pos, line in enumerate(lines):
         if not line.strip():
             continue
         try:
             record = SweepRecord.from_line(line)
         except (json.JSONDecodeError, TypeError):
-            if pos == len(lines) - 1:
-                continue  # torn final line from an interrupted run
             raise ValueError(f"{path}:{pos + 1}: unreadable sweep record")
         done[record.key()] = record
+    if whole < len(data):
+        os.truncate(path, whole)
     return done
 
 

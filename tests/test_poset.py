@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -89,13 +91,41 @@ class TestBuildBall:
         assert set(as_subsets(inst, params)) == want
         assert len(inst) == build_table(params).total
 
-    @pytest.mark.parametrize("p,q,r", SMALL_BALLS)
-    def test_heights_and_covers_match_brute_force(self, p, q, r):
+    @pytest.mark.parametrize(
+        "p,q,r,sphere",
+        [
+            pytest.param(p, q, r, sphere, id=f"{'sphere-' * sphere}{p}-{q}-{r}")
+            for sphere in (False, True)
+            for p, q, r in SMALL_BALLS + [(2, 5, 4), (3, 2, 4), (3, 0, 2)]
+        ],
+    )
+    def test_heights_and_covers_match_brute_force(self, p, q, r, sphere):
+        # spheres step diagonally; (2, 5, 4) and (3, 2, 4) truncate the
+        # radius, and (3, 0, 2) has no far side
         params = GroundParams(p, q, r)
-        inst = build_ball(params)
+        inst = build_sphere(params, r) if sphere else build_ball(params)
         lt = strict_less_masks(as_subsets(inst, params))
         assert inst.height_of == brute_heights(lt)
-        assert [sorted(c) for c in inst.covers] == brute_covers(lt)
+        assert inst.covers == brute_covers(lt)
+
+    def test_layout_is_pinned(self):
+        # elements, covers, heights and sublayers of every ball and sphere
+        # with p + q <= 10 at every radius: the flow route's grid, its
+        # chain start and the pinned cuts all read this layout
+        digest = hashlib.sha256()
+        families = 0
+        for p in range(1, 11):
+            for q in range(11 - p):
+                for r in range(p + q + 1):
+                    params = GroundParams(p, q, r)
+                    for inst in (build_ball(params), build_sphere(params, r)):
+                        layout = [inst.elements, inst.covers, inst.height_of, inst.sublayer_of]
+                        digest.update(json.dumps(layout).encode())
+                        families += 1
+        assert (families, digest.hexdigest()) == (
+            880,
+            "35d3a1b2f3b8a1b01d50c6058245a80c81f106742db18522c177212485379953",
+        )
 
     def test_heights_closed_form_in_regime(self):
         params = GroundParams(3, 3, 2)
@@ -197,11 +227,6 @@ class TestQuotientDag:
         assert dag.source == (2, 0) and dag.sink == (0, 4)
         assert dag.top_height == 6
         assert dag.height_of[(0, 0)] == 2  # two restores below it
-
-    def test_successors_consistent_with_edges(self):
-        dag = quotient_dag(GroundParams(3, 4, 3), Ball())
-        succ = dag.successors()
-        assert sorted((u, v) for u, vs in succ.items() for v in vs) == sorted(dag.edges)
 
 
 class TestCustomPoset:

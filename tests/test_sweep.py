@@ -180,6 +180,21 @@ class TestSweepRange:
         assert canonical(resumed) == canonical(full)
         assert emit_sweep_csv(resumed) == emit_sweep_csv(full)
 
+    def test_resume_cuts_a_torn_line_before_appending(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        full, _ = sweep_range(3, 3, out_path=path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:5]) + "\n" + lines[5][: len(lines[5]) // 2])
+        first, _ = sweep_range(3, 3, out_path=path, resume=True)
+        # the second resume reads every line the first one left
+        again, _ = sweep_range(3, 3, out_path=path, resume=True)
+        assert canonical(first) == canonical(again) == canonical(full)
+        assert again == first
+        text = path.read_text()
+        assert text.endswith("\n") and text.splitlines()[:5] == lines[:5]
+        logged = [SweepRecord.from_line(line) for line in text.splitlines()]
+        assert sorted(logged, key=SweepRecord.key) == first
+
     def test_resume_reuses_stored_records(self, tmp_path):
         path = tmp_path / "records.jsonl"
         first, _ = sweep_range(2, 2, out_path=path)
@@ -209,6 +224,19 @@ class TestSweepRange:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="unreadable sweep record"):
             sweep_range(2, 2, out_path=path, resume=True)
+
+    @pytest.mark.parametrize("tail", ["{broken\n", "notes, no newline"])
+    def test_unreadable_last_line_is_refused_untouched(self, tmp_path, tail):
+        # an interrupted append leaves no newline, and a prefix of a record:
+        # a whole line is a record, and other text is not cut
+        path = tmp_path / "records.jsonl"
+        sweep_range(2, 2, out_path=path)
+        with path.open("a") as handle:
+            handle.write(tail)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=":6: unreadable sweep record"):
+            sweep_range(2, 2, out_path=path, resume=True)
+        assert path.read_bytes() == before
 
     def test_resume_reverifies_over_budget_from_smaller_budgets(self, tmp_path):
         path = tmp_path / "records.jsonl"
