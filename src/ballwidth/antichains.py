@@ -26,7 +26,7 @@ from operator import gt
 
 from .errors import BudgetExceededError, InternalConsistencyError
 from .flows import FlowNetwork
-from .matching import hopcroft_karp, konig_independent
+from .matching import hopcroft_karp
 from .poset import PosetInstance
 
 DEFAULT_MATCHING_BUDGET = 20000
@@ -53,22 +53,22 @@ class KlymVerdict:
     witness: AntichainWitness
 
 
-def _matching(instance: PosetInstance, matching_budget: int):
+def width(
+    instance: PosetInstance, matching_budget: int = DEFAULT_MATCHING_BUDGET
+) -> tuple[int, AntichainWitness]:
+    """Longest antichain size plus one witness antichain of that size.
+
+    The matching's size and König antichain are memoised on the instance;
+    the budget and the witness check hold on every call.
+    """
     n = len(instance)
     if n > matching_budget:
         raise BudgetExceededError(n, matching_budget, "elements for matching")
     if instance._matching is None:
-        instance._matching = hopcroft_karp(instance.up_masks())
-    return instance._matching
-
-
-def width(
-    instance: PosetInstance, matching_budget: int = DEFAULT_MATCHING_BUDGET
-) -> tuple[int, AntichainWitness]:
-    """Longest antichain size plus one witness antichain of that size."""
-    pair_l, pair_r, msize = _matching(instance, matching_budget)
-    members = konig_independent(instance.up_masks(), pair_l, pair_r)
-    w = len(instance) - msize
+        _, _, msize, members = hopcroft_karp(instance.up_masks())
+        instance._matching = msize, members
+    msize, members = instance._matching
+    w = n - msize
     if len(members) != w or not instance.is_antichain(members):
         raise InternalConsistencyError(
             f"matching says width {w} but the extracted witness has "

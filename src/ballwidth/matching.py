@@ -6,11 +6,16 @@ u < v.  Adjacency is kept as one big-int bit set per left vertex, so both
 the breadth-first layering and the depth-first searches run a machine
 word at a time.
 
-Hopcroft-Karp's depth-first search may step from a left at layer d only
-to a right that is free or whose mate is alive at layer d + 1.  Each
-phase keeps those rights as bit sets (the phase masks), `free_r` and
-`open_r[d + 1]`, so a search frame picks the lowest unvisited bit of
+Phase one is a greedy pass: with every left free, each left in index
+order takes its lowest free right.  In every later phase, Hopcroft-Karp's
+depth-first search may step from a left at layer d only to a right that
+is free or whose mate is alive at layer d + 1.  Each phase keeps those
+rights as bit sets (the phase masks), `free_r` and `open_r[d + 1]`, so a
+search frame picks the lowest unvisited bit of
 adj[u] & (free_r | open_r[d + 1]) and never visits a right it rejects.
+The last layering, the one that reaches no free right, is König's
+alternating walk, so the maximum antichain is read off it: no second walk
+over the adjacency is needed.
 
 All loops are iterative; instance sizes routinely exceed the recursion
 limit a depth-first formulation would need.
@@ -19,18 +24,30 @@ limit a depth-first formulation would need.
 from __future__ import annotations
 
 
-def hopcroft_karp(adj: list[int]) -> tuple[list[int | None], list[int | None], int]:
+def hopcroft_karp(
+    adj: list[int],
+) -> tuple[list[int | None], list[int | None], int, list[int]]:
     """Maximum matching for the bipartite graph adj[u] = bit set of rights.
 
-    Returns (pair_left, pair_right, size).  Deterministic: free left
-    vertices are searched in index order and each frame takes its
-    acceptable rights in ascending bit order.
+    Returns (pair_left, pair_right, size, konig): konig lists, ascending,
+    the vertices whose left copy the final layering reaches and whose
+    right copy it does not.  Those are the vertices a minimum vertex cover
+    misses (König), so over a comparability relation they form a maximum
+    antichain.  Deterministic: free left vertices are searched in index
+    order and each frame takes its acceptable rights in ascending bit order.
 
-    Each phase layers the lefts by breadth-first search from the free
+    Phase one is a greedy pass.  Every left is free then, so the layering
+    has one layer and `open_r[1]` is empty: each left in index order takes
+    its lowest free right, if it has one.
+
+    Each later phase layers the lefts by breadth-first search from the free
     ones (layer 0); a matched right first reached from layer d puts its
     mate at layer d + 1, so `open_r[d + 1]` starts as exactly those
-    rights.  Frame k of the search stack holds a left at layer k.  Only
-    two events change a mate or a layer, and each updates the masks:
+    rights.  The phase whose layering reaches no free right ends the
+    search; the lefts it visited are the alternating set König's theorem
+    walks, and the rights it reached are their mates.  Frame k of the
+    search stack holds a left at layer k.  Only two events change a mate
+    or a layer, and each updates the masks:
 
     - a left whose frame runs dry is dead for the phase, and its mate's
       bit leaves `open_r`;
@@ -51,10 +68,20 @@ def hopcroft_karp(adj: list[int]) -> tuple[list[int | None], list[int | None], i
     match_r: list[int | None] = [None] * n
     size = 0
     free_r = (1 << n) - 1
+    for u, rights in enumerate(adj):
+        rem = rights & free_r
+        if rem:
+            bit = rem & -rem
+            free_r ^= bit
+            v = bit.bit_length() - 1
+            match_l[u] = v
+            match_r[v] = u
+            size += 1
 
     while True:
         # layer the alternating-path graph from the free left vertices
         frontier = [u for u in range(n) if match_l[u] is None]
+        visited = frontier[:]
         open_r = [0]
         seen_r = 0
         reached_free = False
@@ -72,8 +99,12 @@ def hopcroft_karp(adj: list[int]) -> tuple[list[int | None], list[int | None], i
                 bit = matched & -matched
                 matched ^= bit
                 frontier.append(match_r[bit.bit_length() - 1])
+            visited += frontier
         if not reached_free:
-            return match_l, match_r, size
+            # no free right was reached: the rights reached are the mates
+            # of the lefts visited after layer 0
+            konig = set(visited).difference(map(match_l.__getitem__, visited))
+            return match_l, match_r, size, sorted(konig)
 
         for root in range(n):
             if match_l[root] is not None:
@@ -109,39 +140,3 @@ def hopcroft_karp(adj: list[int]) -> tuple[list[int | None], list[int | None], i
                 w = match_r[v]
                 stack.append(w)
                 rems.append(adj[w])
-
-
-def konig_independent(
-    adj: list[int], pair_l: list[int | None], pair_r: list[int | None]
-) -> list[int]:
-    """Vertices whose left copy is exposed-side and right copy is not.
-
-    These are exactly the vertices missed by a minimum vertex cover of the
-    split graph, i.e. a maximum antichain of the underlying order.
-    """
-    n = len(adj)
-    zl = 0
-    for u in range(n):
-        if pair_l[u] is None:
-            zl |= 1 << u
-    zr = 0
-    frontier = zl
-    while frontier:
-        reach = 0
-        rest = frontier
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            reach |= adj[bit.bit_length() - 1]
-        reach &= ~zr
-        zr |= reach
-        frontier = 0
-        rest = reach
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            u = pair_r[bit.bit_length() - 1]
-            if u is not None and not zl >> u & 1:
-                zl |= 1 << u
-                frontier |= 1 << u
-    return [x for x in range(n) if zl >> x & 1 and not zr >> x & 1]

@@ -90,8 +90,8 @@ class PosetInstance:
     blocks, in `dag.coords` order; the flow route reads its cell grid from
     that diagram.  Custom posets carry opaque integer ids and no diagram.
     The order closure is the matching engine's input, built on the first
-    `up_masks()`; the width engines memoise their matching and their
-    unit-weight extreme cuts here too.
+    `up_masks()`; the width engines memoise the matching's size with its
+    König antichain, and the unit-weight extreme cuts, here too.
     """
 
     elements: list
@@ -101,9 +101,7 @@ class PosetInstance:
     dag: QuotientDag | None = None
     _up: list[int] | None = field(default=None, repr=False)
     _lower: list[list[int]] | None = field(default=None, repr=False)
-    _matching: tuple[list[int], list[int], int] | None = field(
-        default=None, repr=False
-    )
+    _matching: tuple[int, list[int]] | None = field(default=None, repr=False)
     _unit_cuts: tuple[int, list[int], list[int]] | None = field(
         default=None, repr=False
     )
@@ -116,10 +114,12 @@ class PosetInstance:
         if self._up is None:
             up = [0] * len(self.elements)
             for x in sorted(range(len(up)), key=self.height_of.__getitem__, reverse=True):
-                acc = 0
+                acc = 1 << x  # closed up-sets while accumulating
                 for y in self.covers[x]:
-                    acc |= up[y] | (1 << y)
+                    acc |= up[y]
                 up[x] = acc
+            for x, closed in enumerate(up):
+                up[x] = closed ^ (1 << x)
             self._up = up
         return self._up
 

@@ -279,3 +279,42 @@ def full_scan_hopcroft_karp(adj: list[int]):
                     size += 1
                     break
                 stack.append([match_r[v], 0])
+
+
+def konig_independent(
+    adj: list[int], pair_l: list[int | None], pair_r: list[int | None]
+) -> list[int]:
+    """Vertices whose left copy is exposed-side and right copy is not.
+
+    The reference König walk for a maximum matching: breadth-first from
+    the free lefts, right along any edge, left along matched edges.  The
+    vertices missed by the minimum vertex cover it gives form a maximum
+    independent set of the split graph, i.e. a maximum antichain of the
+    underlying order.
+    """
+    n = len(adj)
+    zl = 0
+    for u in range(n):
+        if pair_l[u] is None:
+            zl |= 1 << u
+    zr = 0
+    frontier = zl
+    while frontier:
+        reach = 0
+        rest = frontier
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            reach |= adj[bit.bit_length() - 1]
+        reach &= ~zr
+        zr |= reach
+        frontier = 0
+        rest = reach
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = pair_r[bit.bit_length() - 1]
+            if u is not None and not zl >> u & 1:
+                zl |= 1 << u
+                frontier |= 1 << u
+    return [x for x in range(n) if zl >> x & 1 and not zr >> x & 1]

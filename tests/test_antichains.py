@@ -28,7 +28,7 @@ from ballwidth.poset import (
     load_custom_poset,
     subset_of,
 )
-from ballwidth.sweep import sweep_tuples
+from ballwidth.sweep import VERIFIED_UNIQUE, sweep_tuples, verify_instance
 
 from helpers import (
     brute_all_max_antichains,
@@ -209,6 +209,21 @@ class TestRandomPosets:
         )
 
 
+@pytest.mark.parametrize(
+    "p,q,r,size,digest",
+    [
+        (9, 9, 5, 3357, "5b5df26bf46cc9e8f5d665fb76ec8fb8aa10675f1822ba2fb1b0a921061eadcf"),
+        (12, 12, 4, 4501, "6c7ef000ff751f14eef644fff5c0a06efded7dc9b7aee8065b7db30dafb4089b"),
+    ],
+)
+def test_width_witness_is_pinned(p, q, r, size, digest):
+    # sha256 of json.dumps(list(members)): the König set of the pinned
+    # matching, so a change to either the search or the walk moves it
+    w, witness = width(build_ball(GroundParams(p, q, r)))
+    assert w == size
+    assert hashlib.sha256(json.dumps(list(witness.members)).encode()).hexdigest() == digest
+
+
 class TestGuards:
     def test_matching_budget(self):
         instance = build_ball(GroundParams(2, 3, 2))
@@ -216,6 +231,42 @@ class TestGuards:
             width(instance, matching_budget=3)
         assert err.value.budget == 3
         assert err.value.required == len(instance)
+
+    def test_memoised_matching_still_meets_the_budget(self):
+        instance = build_ball(GroundParams(2, 3, 2))
+        w, witness = width(instance)
+        for check in (
+            lambda: width(instance, matching_budget=3),
+            lambda: is_unique_max_antichain(instance, witness, matching_budget=3),
+        ):
+            with pytest.raises(BudgetExceededError) as err:
+                check()
+            assert (err.value.budget, err.value.required) == (3, len(instance))
+        assert width(instance) == (w, witness)
+
+    def test_one_matching_and_one_closure_per_tuple(self, monkeypatch):
+        # the untied (7, 6, 3) asks width twice (directly and inside the
+        # uniqueness check): the second reads the memoised König set
+        calls = {"hopcroft_karp": 0, "up_masks": 0}
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(
+            antichains_module,
+            "hopcroft_karp",
+            spy("hopcroft_karp", antichains_module.hopcroft_karp),
+        )
+        monkeypatch.setattr(
+            PosetInstance, "up_masks", spy("up_masks", PosetInstance.up_masks)
+        )
+        record = verify_instance(7, 6, 3)
+        assert record.status == VERIFIED_UNIQUE
+        assert calls == {"hopcroft_karp": 1, "up_masks": 1}
 
     def test_unique_candidate_validation(self):
         instance = build_ball(GroundParams(1, 2, 1))

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballwidth.combinatorics import GroundParams
-from ballwidth.matching import hopcroft_karp, konig_independent
+from ballwidth.matching import hopcroft_karp
 from ballwidth.poset import build_ball, build_sphere, load_custom_poset
 
-from helpers import full_scan_hopcroft_karp, kuhn_matching_size
+from helpers import full_scan_hopcroft_karp, konig_independent, kuhn_matching_size
 
 # (size, sha256 of json.dumps(pair_left)) of the matching over each order's
 # comparability relation; any change to the search order moves the digest
@@ -27,7 +27,7 @@ PINNED = [
     "build,size,digest", [case[1:] for case in PINNED], ids=[case[0] for case in PINNED]
 )
 def test_matching_is_pinned(build, size, digest):
-    pair_l, pair_r, got = hopcroft_karp(build().up_masks())
+    pair_l, pair_r, got, _ = hopcroft_karp(build().up_masks())
     assert got == size
     assert hashlib.sha256(json.dumps(pair_l).encode()).hexdigest() == digest
     assert all(pair_r[v] == u for u, v in enumerate(pair_l) if v is not None)
@@ -43,7 +43,7 @@ def bipartite_graphs():
 @given(bipartite_graphs())
 def test_matching_is_valid_and_maximum(adj):
     n = len(adj)
-    pair_l, pair_r, size = hopcroft_karp(adj)
+    pair_l, pair_r, size, konig = hopcroft_karp(adj)
     assert len(pair_l) == len(pair_r) == n
     edges = [(u, v) for u, v in enumerate(pair_l) if v is not None]
     assert len(edges) == size
@@ -51,6 +51,7 @@ def test_matching_is_valid_and_maximum(adj):
     assert sum(u is not None for u in pair_r) == size
     assert size == kuhn_matching_size(adj)
     assert (pair_l, pair_r, size) == full_scan_hopcroft_karp(adj)
+    assert konig == konig_independent(adj, pair_l, pair_r)
 
 
 @settings(max_examples=100, deadline=None)
@@ -65,9 +66,24 @@ def test_konig_gives_an_antichain_of_the_width(data):
     relations = [[perm[u], perm[v]] for u, v in pairs]
     instance = load_custom_poset({"elements": n, "relations": relations})
     up = instance.up_masks()
-    pair_l, pair_r, size = hopcroft_karp(up)
-    members = konig_independent(up, pair_l, pair_r)
+    pair_l, pair_r, size, members = hopcroft_karp(up)
+    assert members == konig_independent(up, pair_l, pair_r)
     assert len(members) == n - size
     assert instance.is_antichain(members)
     assert size == kuhn_matching_size(up)
     assert (pair_l, pair_r, size) == full_scan_hopcroft_karp(up)
+
+
+def test_konig_set_equals_the_reference_walk_on_small_balls():
+    # every ball with p + q <= 10 at every radius: the König set read off
+    # the last layering is the reference walk's, vertex for vertex
+    balls = 0
+    for p in range(1, 11):
+        for q in range(11 - p):
+            for r in range(p + q + 1):
+                up = build_ball(GroundParams(p, q, r)).up_masks()
+                pair_l, pair_r, size, konig = hopcroft_karp(up)
+                assert konig == konig_independent(up, pair_l, pair_r), (p, q, r)
+                assert len(konig) == len(up) - size
+                balls += 1
+    assert balls == 440
