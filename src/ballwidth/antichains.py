@@ -329,7 +329,7 @@ def _diagram_grid(instance: PosetInstance, weights: list[int]) -> Grid | None:
     k = len(dag.coords)
     if k == len(instance):  # every cell one element: the grid is the poset itself
         return None
-    index = {c: at for at, c in enumerate(dag.coords)}
+    index = dag.shape.index
     sizes = [dag.table.sizes[c] for c in dag.coords]
     cell: list[int] = []
     cell_weights: list[int] = []

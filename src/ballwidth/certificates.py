@@ -11,6 +11,13 @@ diagram, and a hand-guided zigzag construction that descends from the
 largest sphere sublayer and climbs back through the sphere pairs.  Both
 emit the same Certificate shape and both are re-validated by
 certificate_check before they are returned.
+
+Everything but the sizes depends on the diagram's coordinate set alone,
+so the search, the peel and the check read what they need off the shared
+`DiagramShape`: coordinate positions, edges leaving each coordinate, the
+edge steps as position pairs, and one search-network layout per target
+height, whose adjacency leaves out the slots no search takes.  Each tuple
+brings only its sizes and its network's capacities.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .combinatorics import (
 )
 from .errors import BudgetExceededError, InternalConsistencyError
 from .flows import FlowNetwork
-from .poset import QuotientDag, quotient_dag
+from .poset import DiagramShape, QuotientDag, quotient_dag
 
 CERTIFIED = "CERTIFIED"
 CERTIFIED_STRICT = "CERTIFIED_STRICT"
@@ -63,58 +70,68 @@ def certificate_check(
 ) -> bool:
     """Re-derive every certificate invariant from scratch.
 
-    Raises ValueError for malformed input (unknown coordinates, bad
-    counts); returns False when a well-formed certificate simply fails an
-    invariant.
+    Profiles are read as positions in the diagram's coordinate list and
+    their steps tested against the shape's edges as position pairs; the
+    sizes are this table's own.  Raises ValueError for malformed input
+    (unknown coordinates, bad counts); returns False when a well-formed
+    certificate simply fails an invariant.
     """
-    sizes = table.sizes
-    coords = set(dag.coords)
-    edges = set(dag.edges)
+    shape = dag.shape
+    coords, index, height_of = shape.coords, shape.index, shape.height_of
     if not 0 <= certificate.target_height <= dag.top_height:
         raise ValueError(
             f"target height {certificate.target_height} outside the diagram"
         )
     for c, n in certificate.coverage.items():
-        if c not in coords:
+        if c not in index:
             raise ValueError(f"coverage mentions unknown coordinate {c}")
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError(f"coverage at {c} must be a count, got {n!r}")
+    paths: list[tuple[list[int], int]] = []
     for profile, mult in certificate.profiles:
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise ValueError(f"profile multiplicity must be positive, got {mult!r}")
         if not profile:
             raise ValueError("certificate has an empty profile")
-        if not all(map(coords.__contains__, profile)):
-            unknown = next(c for c in profile if c not in coords)
+        path = list(map(index.get, profile))
+        if None in path:
+            unknown = next(c for c in profile if c not in index)
             raise ValueError(f"profile mentions unknown coordinate {unknown}")
+        paths.append((path, mult))
 
     # profiles must run the full source-to-sink gamut, one height at a time
-    accumulated = dict.fromkeys(dag.coords, 0)
-    for profile, mult in certificate.profiles:
-        if profile[0] != dag.source or profile[-1] != dag.sink:
+    source, sink, steps = index[shape.source], index[shape.sink], shape.steps
+    accumulated = [0] * len(coords)
+    for path, mult in paths:
+        if path[0] != source or path[-1] != sink:
             return False
-        if not all(map(edges.__contains__, zip(profile, profile[1:]))):
+        if not steps.issuperset(zip(path, path[1:])):
             return False
-        for c in profile:
-            accumulated[c] += mult
+        for k in path:
+            accumulated[k] += mult
 
     coverage = certificate.coverage
-    if any(accumulated[c] != coverage.get(c, 0) for c in coords):
+    if any(n != coverage.get(c, 0) for c, n in zip(coords, accumulated)):
         return False
 
     per_height: dict[int, int] = {}
-    for c in coords:
-        h = dag.height_of[c]
-        per_height[h] = per_height.get(h, 0) + accumulated[c]
+    for c, n in zip(coords, accumulated):
+        h = height_of[c]
+        per_height[h] = per_height.get(h, 0) + n
     if len(set(per_height.values())) > 1:
         return False
 
-    target = [c for c in coords if dag.height_of[c] == certificate.target_height]
-    if any(accumulated[c] != sizes[c] for c in target):
+    sizes = [table.sizes[c] for c in coords]
+    target = certificate.target_height
+    if any(
+        n != size
+        for c, n, size in zip(coords, accumulated, sizes)
+        if height_of[c] == target
+    ):
         return False
     # the (non-empty) target is covered at rate exactly 1, so meeting its
     # rate N_c / |X_c| >= N_c* / |X_c*| means covering each sublayer fully
-    return all(accumulated[c] >= sizes[c] for c in coords)
+    return all(map(int.__ge__, accumulated, sizes))
 
 
 def _status_for(coverage: dict[Coord, int], dag: QuotientDag, target: int) -> str:
@@ -129,43 +146,56 @@ def _peel_profiles(
     total: int,
     edge_flow: dict[tuple[Coord, Coord], int],
 ) -> list[tuple[ChainProfile, int]]:
-    """Split an integral diagram flow into weighted source-sink paths.
+    """Split an integral diagram flow, keyed by edge, into weighted paths."""
+    remaining = [edge_flow.get(e, 0) for e in dag.edges]
+    if sum(map(bool, remaining)) != sum(map(bool, edge_flow.values())):
+        stray = next(e for e, f in edge_flow.items() if f and e not in dag.edges)
+        raise InternalConsistencyError(f"flow on {stray}, which is not a diagram edge")
+    return _peel(dag.shape, total, remaining)
+
+
+def _peel(
+    shape: DiagramShape, total: int, remaining: list[int]
+) -> list[tuple[ChainProfile, int]]:
+    """Split an integral flow, by edge number, into weighted source-sink paths.
 
     Always picks the lexicographically smallest positive continuation, so
     the decomposition is canonical.  Each round saturates at least one
-    edge; at most |edges| profiles come out.
+    edge, so at most |edges| profiles come out.  The next round resumes at
+    the tail of the first edge the last one saturated: a restart from the
+    source would take the same first positive edge at every coordinate up
+    to it, as those edges are still positive and the ones before them were
+    already empty.  `remaining` is used up.
     """
-    if dag.source == dag.sink:
-        return [((dag.source,), total)] if total else []
-    edges = dag.edges
-    remaining = [edge_flow.get(e, 0) for e in edges]
-    if sum(map(bool, remaining)) != sum(map(bool, edge_flow.values())):
-        stray = next(e for e, f in edge_flow.items() if f and e not in edges)
-        raise InternalConsistencyError(f"flow on {stray}, which is not a diagram edge")
-    # edge numbers leaving each coordinate, smallest head first
-    head = [v for _, v in edges]
-    leaving: dict[Coord, list[int]] = {c: [] for c in dag.coords}
-    for e, (u, _) in enumerate(edges):
-        leaving[u].append(e)
-    for out in leaving.values():
-        out.sort(key=head.__getitem__)
+    if shape.source == shape.sink:
+        return [((shape.source,), total)] if total else []
+    heads, leaving = shape.heads, shape.leaving
+    head_coords = [v for _, v in shape.edges]
+    source, sink = shape.index[shape.source], shape.index[shape.sink]
     profiles: list[tuple[ChainProfile, int]] = []
+    path: list[int] = []  # edge numbers from the source to cur
+    cur = source
     left = total
     while left > 0:
-        steps: list[int] = []
-        cur = dag.source
-        while cur != dag.sink:
+        while cur != sink:
             for e in leaving[cur]:
                 if remaining[e] > 0:
-                    steps.append(e)
-                    cur = head[e]
+                    path.append(e)
+                    cur = heads[e]
                     break
             else:
-                raise InternalConsistencyError(f"flow decomposition stuck at {cur}")
-        mult = min(map(remaining.__getitem__, steps))
-        for e in steps:
+                raise InternalConsistencyError(
+                    f"flow decomposition stuck at {shape.coords[cur]}"
+                )
+        mult = min(map(remaining.__getitem__, path))
+        profiles.append(((shape.source, *map(head_coords.__getitem__, path)), mult))
+        first = -1
+        for k, e in enumerate(path):
             remaining[e] -= mult
-        profiles.append(((dag.source, *map(head.__getitem__, steps)), mult))
+            if first < 0 and not remaining[e]:
+                first = k
+        del path[first:]
+        cur = heads[path[-1]] if path else source
         left -= mult
     if left < 0:
         raise InternalConsistencyError(
@@ -176,6 +206,47 @@ def _peel_profiles(
     return profiles
 
 
+def _search_layout(shape: DiagramShape, target_height: int) -> tuple:
+    """The search network's arcs for one shape and target height.
+
+    Coordinate k is the arc 2k -> 2k + 1, in slot 2k; its edges, the
+    circulation sink -> source, and then each coordinate's pair of demand
+    arcs ss -> 2k + 1 and 2k -> tt follow, in this order.  Every tuple of
+    the shape gets the same slots in the same order, with the same `to`.
+    The adjacency leaves out the slots no search takes: the arcs back into
+    ss (level 0), the slots of tt (never expanded) and both slots of a
+    target coordinate's arc, whose capacity is 0 each way.  Returns
+    (adj, to, target coordinate positions, first edge slot), and keeps it in
+    the shape's `search_layouts` for the shape's next tuple.
+    """
+    coords, index, height_of = shape.coords, shape.index, shape.height_of
+    kk = len(coords)
+    ss, tt = 2 * kk, 2 * kk + 1
+    adj: list[list[int]] = [[] for _ in range(2 * kk + 2)]
+    to: list[int] = []
+
+    def add(u: int, v: int, forward: bool, backward: bool) -> None:
+        if forward:
+            adj[u].append(len(to))
+        if backward:
+            adj[v].append(len(to) + 1)
+        to.extend((v, u))
+
+    for k, c in enumerate(coords):
+        usable = height_of[c] != target_height
+        add(2 * k, 2 * k + 1, usable, usable)
+    first_edge = len(to)
+    for u, v in shape.edges:
+        add(2 * index[u] + 1, 2 * index[v], True, True)
+    add(2 * index[shape.sink] + 1, 2 * index[shape.source], True, True)
+    for k in range(kk):
+        add(ss, 2 * k + 1, True, False)
+        add(2 * k, tt, True, False)
+    targets = [k for k, c in enumerate(coords) if height_of[c] == target_height]
+    layout = shape.search_layouts[target_height] = adj, to, targets, first_edge
+    return layout
+
+
 def certificate_search(
     dag: QuotientDag, target_height: int, strict: bool = False
 ) -> CertificateVerdict:
@@ -184,37 +255,39 @@ def certificate_search(
     Every coordinate becomes an arc with a lower bound: exactly the
     sublayer size on the target layer, at least the size (plus one when
     strict) elsewhere.  A feasible circulation decomposes into the
-    certificate; an infeasible one yields a cut diagnostic.
+    certificate; an infeasible one yields a cut diagnostic.  The network's
+    arcs come from `_search_layout`, shared by every tuple of this shape
+    and target height, with the slots no search takes left out of the
+    adjacency; only the capacities are this tuple's own.
     """
     if not 0 <= target_height <= dag.top_height:
         raise ValueError(f"target height {target_height} outside the diagram")
 
-    # coordinate k is the arc 2k -> 2k + 1, in slot 2k
-    coords = dag.coords
-    index = {c: k for k, c in enumerate(coords)}
+    shape = dag.shape
+    adj, to, targets, first_edge = shape.search_layouts.get(
+        target_height
+    ) or _search_layout(shape, target_height)
+    coords = shape.coords
     kk = len(coords)
     ss, tt = 2 * kk, 2 * kk + 1
 
-    sizes, height_of = dag.table.sizes, dag.height_of
-    exact = [height_of[c] == target_height for c in coords]
-    low = [
-        sizes[c] if on_target or not strict else sizes[c] + 1
-        for c, on_target in zip(coords, exact)
-    ]
+    low = list(map(dag.table.sizes.__getitem__, coords))
+    if strict:
+        low = [lo + 1 for lo in low]
+        for k in targets:
+            low[k] -= 1
     need = sum(low)
     inf = need + 1
 
-    net = FlowNetwork(2 * kk + 2)
-    add = net.add_pair
-    for k, on_target in enumerate(exact):
-        add(2 * k, 2 * k + 1, 0 if on_target else inf, 0)
-    first_edge = len(net.to)
-    for u, v in dag.edges:
-        add(2 * index[u] + 1, 2 * index[v], inf, 0)
-    circulation = add(2 * index[dag.sink] + 1, 2 * index[dag.source], inf, 0)
-    for k, demand in enumerate(low):
-        add(ss, 2 * k + 1, demand, 0)
-        add(2 * k, tt, demand, 0)
+    # coordinate, edge and circulation arcs are uncapped but on the target,
+    # then each coordinate's two demand arcs; a reverse slot starts empty
+    circulation = first_edge + 2 * len(shape.edges)
+    cap = [inf, 0] * (circulation // 2 + 1) + [0] * (4 * kk)
+    for k in targets:
+        cap[2 * k] = 0
+    cap[circulation + 2 :: 4] = low
+    cap[circulation + 4 :: 4] = low
+    net = FlowNetwork.on_arcs(adj, to, cap)
     got = net.max_flow(ss, tt)
 
     if got < need:
@@ -230,11 +303,9 @@ def certificate_search(
         )
 
     # a slot's flow sits on its partner, slot ^ 1
-    cap = net.cap
     coverage = {c: lo + f for c, lo, f in zip(coords, low, cap[1 : 2 * kk : 2])}
-    edge_flow = dict(zip(dag.edges, cap[first_edge + 1 : circulation : 2]))
     total = net.flow_on(circulation)
-    profiles = _peel_profiles(dag, total, edge_flow)
+    profiles = _peel(shape, total, cap[first_edge + 1 : circulation : 2])
 
     certificate = Certificate(tuple(profiles), coverage, target_height)
     if not certificate_check(certificate, dag.table, dag):

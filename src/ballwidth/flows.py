@@ -29,15 +29,32 @@ def reach(start: int, step) -> set[int]:
 
 
 class FlowNetwork:
+    """Slots `to` and `cap`, and each node's slots in `adj`.
+
+    `max_flow` and the residual walks only ever change `cap`; they never
+    touch `adj` or `to`.  So networks of one layout may share those two
+    lists (`on_arcs`), each with its own `cap`, as long as nobody calls
+    `add_pair` on them.  A shared `adj` may leave out slots that no search
+    can use, such as arcs into the source: the scans skip such slots anyway,
+    so the flow and every cut stay the same.
+    """
+
     def __init__(self, n: int) -> None:
         self.n = n
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, capacity: int) -> int:
-        """Directed edge u -> v; returns its slot (reverse is slot ^ 1)."""
-        return self.add_pair(u, v, capacity, 0)
+    @classmethod
+    def on_arcs(
+        cls, adj: list[list[int]], to: list[int], cap: list[int]
+    ) -> FlowNetwork:
+        """A network on the read-only arcs `adj` and `to`, with its own `cap`."""
+        if len(cap) != len(to):
+            raise ValueError(f"{len(cap)} capacities for {len(to)} slots")
+        net = cls.__new__(cls)
+        net.n, net.adj, net.to, net.cap = len(adj), adj, to, cap
+        return net
 
     def add_pair(self, u: int, v: int, cap_uv: int, cap_vu: int) -> int:
         if cap_uv < 0 or cap_vu < 0:

@@ -13,7 +13,7 @@ steps, as a sphere does) both at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -52,9 +52,60 @@ def subset_of(element: Element, params: GroundParams) -> frozenset[int]:
     return frozenset(members)
 
 
+@dataclass(eq=False)
+class DiagramShape:
+    """What a diagram's coordinate set alone decides, shared by its tuples.
+
+    The coordinates in (height, i, j) order, the edges, the endpoints and
+    the heights are read-only: every diagram with this coordinate set holds
+    the same lists and dict.  The index-space views that the certificate
+    machinery reads are built on first use, so a shape that is only swept
+    never carries them; `search_layouts` holds the certificate search's
+    network layouts, one per target height.
+    """
+
+    coords: list[Coord]
+    edges: list[tuple[Coord, Coord]]
+    source: Coord
+    sink: Coord
+    height_of: dict[Coord, int]
+    search_layouts: dict[int, tuple] = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def index(self) -> dict[Coord, int]:
+        """Each coordinate's position in `coords`."""
+        return {c: k for k, c in enumerate(self.coords)}
+
+    @cached_property
+    def heads(self) -> list[int]:
+        """The head index of each edge, by edge number."""
+        return [self.index[v] for _, v in self.edges]
+
+    @cached_property
+    def leaving(self) -> list[list[int]]:
+        """The edge numbers leaving each coordinate index, smallest head first."""
+        edges = self.edges
+        leaving: list[list[int]] = [[] for _ in self.coords]
+        for e, (u, _) in enumerate(edges):
+            leaving[self.index[u]].append(e)
+        for out in leaving:
+            out.sort(key=lambda e: edges[e][1])
+        return leaving
+
+    @cached_property
+    def steps(self) -> frozenset[tuple[int, int]]:
+        """The edges as (tail index, head index) pairs."""
+        index = self.index
+        return frozenset((index[u], index[v]) for u, v in self.edges)
+
+
 @dataclass(frozen=True, slots=True)
 class QuotientDag:
-    """The coordinate-level cover diagram of one family, with its sizes."""
+    """The coordinate-level cover diagram of one family, with its sizes.
+
+    Everything but the sublayer table is its `shape`'s, shared (and
+    read-only) with every family of the same coordinate set.
+    """
 
     coords: list[Coord]
     edges: list[tuple[Coord, Coord]]
@@ -62,6 +113,7 @@ class QuotientDag:
     sink: Coord
     height_of: dict[Coord, int]
     table: SublayerTable
+    shape: DiagramShape
 
     @property
     def top_height(self) -> int:
@@ -170,10 +222,14 @@ def _family_edges(coords: set[Coord]) -> list[tuple[Coord, Coord]]:
     return edges
 
 
-def quotient_dag(params: GroundParams, family: Family) -> QuotientDag:
-    """Coordinate diagram with validated grading and unique endpoints."""
-    table = build_table(params, family)
-    coord_list = list(table.sizes)
+# shapes kept by `_diagram_shape`: enough for one radius cycle of a sweep,
+# which at p = q = 60 with every radius up to p + q is 120 ball shapes
+SHAPE_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _diagram_shape(coord_list: tuple[Coord, ...]) -> DiagramShape:
+    """The validated diagram of a coordinate set; a raise is not cached."""
     coords = set(coord_list)
     edges = _family_edges(coords)
 
@@ -204,7 +260,22 @@ def quotient_dag(params: GroundParams, family: Family) -> QuotientDag:
             )
 
     ordered = sorted(coord_list, key=lambda c: (height_of[c], c))
-    return QuotientDag(ordered, edges, source, sink, height_of, table)
+    return DiagramShape(ordered, edges, source, sink, height_of)
+
+
+def quotient_dag(params: GroundParams, family: Family) -> QuotientDag:
+    """Coordinate diagram with validated grading and unique endpoints.
+
+    Edges, endpoints and heights depend on the coordinate set alone, so
+    they come from a shape shared by every family with that set, kept in a
+    least-recently-used cache of SHAPE_CACHE_SIZE shapes keyed by the
+    coordinate tuple.  In the untruncated regime a ball's coordinates
+    depend only on r.  Each shape is validated once when it is built; an
+    invalid set raises on every call.
+    """
+    table = build_table(params, family)
+    s = _diagram_shape(tuple(table.sizes))
+    return QuotientDag(s.coords, s.edges, s.source, s.sink, s.height_of, table, s)
 
 
 def _build_family(

@@ -318,3 +318,48 @@ def konig_independent(
                 zl |= 1 << u
                 frontier |= 1 << u
     return [x for x in range(n) if zl >> x & 1 and not zr >> x & 1]
+
+
+def restart_peel_profiles(dag, total: int, edge_flow: dict) -> list:
+    """The reference peel: every round walks again from the source.
+
+    Splits an integral diagram flow into weighted source-sink paths, always
+    taking the smallest head with flow left.  `dag` needs `coords`, `edges`,
+    `source` and `sink`.  Raises ValueError with the package's messages.
+    """
+    if dag.source == dag.sink:
+        return [((dag.source,), total)] if total else []
+    edges = dag.edges
+    remaining = [edge_flow.get(e, 0) for e in edges]
+    if sum(map(bool, remaining)) != sum(map(bool, edge_flow.values())):
+        stray = next(e for e, f in edge_flow.items() if f and e not in edges)
+        raise ValueError(f"flow on {stray}, which is not a diagram edge")
+    head = [v for _, v in edges]
+    leaving = {c: [] for c in dag.coords}
+    for e, (u, _) in enumerate(edges):
+        leaving[u].append(e)
+    for out in leaving.values():
+        out.sort(key=head.__getitem__)
+    profiles = []
+    left = total
+    while left > 0:
+        steps = []
+        cur = dag.source
+        while cur != dag.sink:
+            for e in leaving[cur]:
+                if remaining[e] > 0:
+                    steps.append(e)
+                    cur = head[e]
+                    break
+            else:
+                raise ValueError(f"flow decomposition stuck at {cur}")
+        mult = min(remaining[e] for e in steps)
+        for e in steps:
+            remaining[e] -= mult
+        profiles.append(((dag.source, *(head[e] for e in steps)), mult))
+        left -= mult
+    if left < 0:
+        raise ValueError(f"the flow carries {total - left} chains, not {total}")
+    if any(remaining):
+        raise ValueError("edge flow left over after decomposition")
+    return profiles

@@ -1,7 +1,11 @@
 import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ballwidth import certificates, poset
 from ballwidth.antichains import width
 from ballwidth.certificates import (
     CERTIFIED,
@@ -20,14 +24,16 @@ from ballwidth.certificates import (
 from ballwidth.combinatorics import (
     Ball,
     GroundParams,
+    Sphere,
     build_table,
     layer_profile,
     sublayer_size,
 )
 from ballwidth.errors import BudgetExceededError, InternalConsistencyError
+from ballwidth.flows import FlowNetwork
 from ballwidth.poset import build_ball, quotient_dag
 
-from helpers import pascal_binomial
+from helpers import pascal_binomial, restart_peel_profiles
 
 TINY = GroundParams(1, 2, 1)
 TINY_PROFILE = ((1, 0), (0, 0), (0, 1))
@@ -175,6 +181,175 @@ class TestPeelProfiles:
         _, dag = tiny
         with pytest.raises(InternalConsistencyError, match="carries 2 chains, not 1"):
             _peel_profiles(dag, 1, {self.UP: 2, self.ACROSS: 2})
+
+
+@st.composite
+def diagram_flows(draw):
+    """A ball or sphere diagram, truncated or not, and a sum of drawn paths."""
+    p, q = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        dag = quotient_dag(GroundParams(p, q, draw(st.integers(0, p + q))), Ball())
+    else:
+        dag = quotient_dag(GroundParams(p, q, 0), Sphere(draw(st.integers(0, p + q))))
+    flow: dict = {}
+    total = 0
+    for _ in range(draw(st.integers(0, 6))):
+        mult = draw(st.integers(1, 4))
+        cur = dag.source
+        while cur != dag.sink:
+            edge = draw(st.sampled_from([e for e in dag.edges if e[0] == cur]))
+            flow[edge] = flow.get(edge, 0) + mult
+            cur = edge[1]
+        total += mult
+    return dag, flow, total
+
+
+class TestResumedPeel:
+    """The peel resumes at the first saturated edge; a restart peels the same."""
+
+    def test_every_search_flow_up_to_ten(self, monkeypatch):
+        real = certificates._peel
+        agreed = []
+
+        def peel(shape, total, remaining):
+            flow = dict(zip(shape.edges, remaining))
+            expected = restart_peel_profiles(shape, total, flow)
+            got = real(shape, total, remaining)
+            agreed.append(got == expected)
+            return got
+
+        monkeypatch.setattr(certificates, "_peel", peel)
+        certified_width_digest(10)
+        assert len(agreed) == 710 and all(agreed)  # 770 verdicts, 60 of them ties
+
+    @settings(max_examples=300, deadline=None)
+    @given(diagram_flows(), st.integers(-1, 1), st.booleans())
+    def test_drawn_diagram_flows(self, drawn, shift, bump):
+        # an extra unit on one edge, or a total off by one, must fail with
+        # the reference's error at the same coordinate
+        dag, flow, total = drawn
+        if bump and flow:
+            flow[min(flow)] += 1
+        total += shift
+        try:
+            expected = restart_peel_profiles(dag, total, flow)
+        except ValueError as err:
+            with pytest.raises(InternalConsistencyError) as got:
+                _peel_profiles(dag, total, flow)
+            assert str(got.value) == str(err)
+        else:
+            assert _peel_profiles(dag, total, flow) == expected
+
+
+def full_search_network(dag, target_height, strict):
+    """The search network with every slot in every adjacency, built pair by pair."""
+    coords = dag.coords
+    index = {c: k for k, c in enumerate(coords)}
+    kk = len(coords)
+    exact = [dag.height_of[c] == target_height for c in coords]
+    low = [
+        dag.table.sizes[c] + (strict and not on_target)
+        for c, on_target in zip(coords, exact)
+    ]
+    inf = sum(low) + 1
+    net = FlowNetwork(2 * kk + 2)
+    for k, on_target in enumerate(exact):
+        net.add_pair(2 * k, 2 * k + 1, 0 if on_target else inf, 0)
+    for u, v in dag.edges:
+        net.add_pair(2 * index[u] + 1, 2 * index[v], inf, 0)
+    net.add_pair(2 * index[dag.sink] + 1, 2 * index[dag.source], inf, 0)
+    for k, demand in enumerate(low):
+        net.add_pair(2 * kk, 2 * k + 1, demand, 0)
+        net.add_pair(2 * k, 2 * kk + 1, demand, 0)
+    return net
+
+
+class TestSharedLayout:
+    def test_same_flow_and_cut_as_the_full_network(self, monkeypatch):
+        # every target height, feasible or not: the shared layout's slots,
+        # flows and residual side of the source equal the full network's
+        nets = []
+        real = FlowNetwork.on_arcs.__func__
+
+        def on_arcs(cls, adj, to, cap):
+            nets.append(real(cls, adj, to, cap))
+            return nets[-1]
+
+        monkeypatch.setattr(FlowNetwork, "on_arcs", classmethod(on_arcs))
+        statuses = set()
+        for p in range(1, 7):
+            for q in range(1, 7):
+                for r in range(min(p, q) + 1):
+                    dag = quotient_dag(GroundParams(p, q, r), Ball())
+                    for height in range(dag.top_height + 1):
+                        for strict in (False, True):
+                            verdict = certificate_search(dag, height, strict)
+                            statuses.add(verdict.status)
+                            full = full_search_network(dag, height, strict)
+                            ss = full.n - 2
+                            full.max_flow(ss, ss + 1)
+                            assert nets[-1].to == full.to
+                            assert nets[-1].cap == full.cap
+                            assert nets[-1].residual_reachable(
+                                ss
+                            ) == full.residual_reachable(ss)
+        assert statuses == {CERTIFIED, CERTIFIED_STRICT, INFEASIBLE}
+
+
+def verdict_summary(verdict, size):
+    cert = verdict.certificate
+    if cert is None:
+        return verdict.status, verdict.diagnostics, size, None
+    return (
+        verdict.status,
+        verdict.diagnostics,
+        size,
+        (cert.profiles, cert.coverage, cert.target_height),
+    )
+
+
+class TestSharedShapes:
+    def test_warm_verdicts_equal_cold_ones(self):
+        tuples = [
+            GroundParams(p, q, r)
+            for p in range(1, 9)
+            for q in range(1, 9)
+            for r in range(min(p, q) + 1)
+        ]
+        shuffled = tuples[:]
+        random.Random(17).shuffle(shuffled)
+        runs = []
+        for order in (tuples, tuples[::-1], shuffled):
+            poset._diagram_shape.cache_clear()
+            runs.append(
+                {
+                    (params, strict): verdict_summary(*certified_width(params, strict))
+                    for params in order
+                    for strict in (False, True)
+                }
+            )
+        assert len(runs[0]) == 2 * len(tuples)
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_point_ball_after_point_sphere(self):
+        poset._diagram_shape.cache_clear()
+        sphere = quotient_dag(GroundParams(3, 4, 5), Sphere(0))
+        verdict, size = certified_width(GroundParams(3, 4, 0))
+        assert quotient_dag(GroundParams(3, 4, 0), Ball()).shape is sphere.shape
+        assert size == 1
+        assert verdict.certificate.profiles == ((((0, 0),), 1),)
+
+    def test_sizes_of_the_tuple_decide_the_check(self):
+        # one shape, two tuples: a certificate covers its own sizes only
+        a, b = GroundParams(5, 8, 4), GroundParams(6, 9, 4)
+        dags = {params: quotient_dag(params, Ball()) for params in (a, b)}
+        assert dags[a].shape is dags[b].shape
+        for own, other in ((a, b), (b, a)):
+            verdict, _ = certified_width(own)
+            assert certificate_check(verdict.certificate, dags[own].table, dags[own])
+            assert not certificate_check(
+                verdict.certificate, dags[other].table, dags[other]
+            )
 
 
 def certified_width_digest(n: int) -> tuple[int, str]:

@@ -62,16 +62,36 @@ def test_resumes_at_the_first_saturated_arc():
     # Resuming at b instead would try the spare b -> t over a full a -> b.
     s, a, b, c, t = range(5)
     net = FlowNetwork(5)
-    sa = net.add_edge(s, a, 4)
-    ab = net.add_edge(a, b, 1)
-    bt = net.add_edge(b, t, 1)
-    spare = net.add_edge(b, t, 5)
-    ac = net.add_edge(a, c, 2)
-    ct = net.add_edge(c, t, 5)
+    sa = net.add_pair(s, a, 4, 0)
+    ab = net.add_pair(a, b, 1, 0)
+    bt = net.add_pair(b, t, 1, 0)
+    spare = net.add_pair(b, t, 5, 0)
+    ac = net.add_pair(a, c, 2, 0)
+    ct = net.add_pair(c, t, 5, 0)
     assert net.max_flow(s, t) == 3
     flows = [net.flow_on(e) for e in (sa, ab, bt, spare, ac, ct)]
     assert flows == [3, 1, 1, 0, 2, 2]
     assert net.max_flow(s, t) == 0
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_shared_arcs_without_unusable_slots_give_the_same_flow(seed):
+    # slots into the source and the sink's own slots are never taken by a
+    # search from the source; leaving them out of a shared adjacency keeps
+    # every scan's order, so the flow, the residuals and the cut are equal
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    net, _ = random_network(rng, n)
+    s, t = rng.sample(range(n), 2)
+    adj = [[e for e in arcs if net.to[e] != s] for arcs in net.adj]
+    adj[t] = []
+    to = net.to[:]
+    shared = FlowNetwork.on_arcs(adj, to, net.cap[:])
+    kept = [arcs[:] for arcs in adj]
+    assert shared.max_flow(s, t) == net.max_flow(s, t)
+    assert shared.cap == net.cap
+    assert shared.residual_reachable(s) == net.residual_reachable(s)
+    assert shared.adj == kept and shared.to == net.to
 
 
 def test_invalid_input_raises():
@@ -79,6 +99,8 @@ def test_invalid_input_raises():
     with pytest.raises(ValueError, match="differ"):
         net.max_flow(1, 1)
     with pytest.raises(ValueError, match="nonnegative"):
-        net.add_edge(0, 1, -1)
+        net.add_pair(0, 1, -1, 0)
     with pytest.raises(ValueError, match="nonnegative"):
         net.add_pair(0, 1, 1, -1)
+    with pytest.raises(ValueError, match="3 capacities for 2 slots"):
+        FlowNetwork.on_arcs([[0], [1]], [1, 0], [1, 0, 0])

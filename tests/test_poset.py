@@ -6,9 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballwidth.combinatorics import Ball, GroundParams, Sphere, build_table
-from ballwidth.errors import BudgetExceededError, CustomPosetError
+from ballwidth import poset
+from ballwidth.combinatorics import (
+    Ball,
+    GroundParams,
+    Sphere,
+    SublayerTable,
+    build_table,
+)
+from ballwidth.errors import BudgetExceededError, CustomPosetError, GradedQuotientError
 from ballwidth.poset import (
+    SHAPE_CACHE_SIZE,
     Element,
     build_ball,
     build_sphere,
@@ -227,6 +235,71 @@ class TestQuotientDag:
         assert dag.source == (2, 0) and dag.sink == (0, 4)
         assert dag.top_height == 6
         assert dag.height_of[(0, 0)] == 2  # two restores below it
+
+
+def shape_fields(dag):
+    return dag.coords, dag.edges, dag.source, dag.sink, dag.height_of
+
+
+class TestShapeCache:
+    def test_warm_equals_cold_on_truncated_balls(self):
+        # every radius up to p + q, so most coordinate sets are truncated
+        keys = [
+            (p, q, r) for p in range(1, 7) for q in range(1, 7) for r in range(p + q + 1)
+        ]
+        warm = {}
+        for key in keys:
+            dag = quotient_dag(GroundParams(*key), Ball())
+            assert type(dag.coords) is list
+            cold = poset._diagram_shape.__wrapped__(tuple(dag.table.sizes))
+            assert shape_fields(dag) == shape_fields(cold)
+            warm[key] = shape_fields(dag), dag.top_height, dag.table
+        poset._diagram_shape.cache_clear()
+        for key in reversed(keys):
+            dag = quotient_dag(GroundParams(*key), Ball())
+            assert (shape_fields(dag), dag.top_height, dag.table) == warm[key]
+
+    def test_point_ball_and_point_sphere_share_a_shape(self):
+        poset._diagram_shape.cache_clear()
+        sphere = quotient_dag(GroundParams(3, 4, 5), Sphere(0))
+        ball = quotient_dag(GroundParams(3, 4, 0), Ball())
+        assert ball.shape is sphere.shape
+        assert shape_fields(ball) == ([(0, 0)], [], (0, 0), (0, 0), {(0, 0): 0})
+        assert ball.table.family == Ball() and sphere.table.family == Sphere(0)
+        assert len(build_sphere(GroundParams(3, 4, 5), 0)) == 1
+        assert len(build_ball(GroundParams(3, 4, 0))) == 1
+
+    def test_shapes_are_shared_by_coordinate_set(self):
+        shapes = {
+            quotient_dag(GroundParams(p, q, 4), Ball()).shape
+            for p, q in ((5, 8), (6, 9), (4, 4))
+        }
+        assert len(shapes) == 1
+        assert quotient_dag(GroundParams(3, 8, 4), Ball()).shape not in shapes
+
+    def test_cache_stays_within_its_bound(self):
+        poset._diagram_shape.cache_clear()
+        side = SHAPE_CACHE_SIZE + 8
+        shapes = [
+            quotient_dag(GroundParams(side, side, 0), Sphere(m)).shape
+            for m in range(side)
+        ]
+        assert len(set(map(id, shapes))) == side
+        assert poset._diagram_shape.cache_info().currsize == SHAPE_CACHE_SIZE
+
+    def test_invalid_shape_raises_every_time(self, monkeypatch):
+        # two coordinates with no edge between them: two sources, two sinks
+        def table(params, family):
+            return SublayerTable(params, family, {(0, 0): 1, (2, 2): 1})
+
+        monkeypatch.setattr(poset, "build_table", table)
+        before = poset._diagram_shape.cache_info()
+        for _ in range(3):
+            with pytest.raises(GradedQuotientError, match="unique endpoints"):
+                quotient_dag(GroundParams(3, 3, 3), Ball())
+        after = poset._diagram_shape.cache_info()
+        assert after.misses == before.misses + 3
+        assert after.currsize == before.currsize
 
 
 class TestCustomPoset:
