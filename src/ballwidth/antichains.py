@@ -9,7 +9,8 @@ Two engines that must agree:
   starts it from the cell grid's min-flow lifted onto the elements (on a
   ball or sphere the grid comes from its diagram and the lift is an
   optimum, so no element-level network is built), else from first-cover
-  chains, and checks both extreme cuts it reads off.
+  chains; it cancels on a network only when that start is not minimum,
+  and checks both extreme cuts `_residual_sides` reads off the final flow.
 
 Whenever both run on the same instance the values are cross-checked and a
 disagreement raises InternalConsistencyError, never a wrong answer.
@@ -30,7 +31,6 @@ from .matching import hopcroft_karp
 from .poset import PosetInstance
 
 DEFAULT_MATCHING_BUDGET = 20000
-Sides = tuple[bytearray, bytearray]  # residual t side and s side, a mark per node
 # a cell grid: each element's cell, and per cell its size, its height, its
 # row of upper-cover cells (one entry per cover of an element) and its weight
 Grid = tuple[list[int], list[int], list[int], list[list[int]], list[int]]
@@ -116,18 +116,18 @@ def _residual_sides(
     weights: list[int],
     through: list[int],
     cover_flow: list[list[int]],
-) -> Sides | None:
-    """The t side and s side of a start's residual graph; None if t reaches s.
+) -> tuple[list[int], list[int]] | None:
+    """(from_t, from_s): the two cuts of a minimum flow; None if t reaches s.
 
-    One pass over the covers checks the start first: one that breaks
+    One pass over the covers checks the flow first: one that breaks
     conservation or a lower bound raises InternalConsistencyError.  The
-    arcs are those of `_min_flow`'s network before the cancel, with
-    in(x) = 2x, out(x) = 2x + 1, s = 2n, t = 2n + 1: in -> out, out(x) ->
-    in(y) on a cover, s -> in and out -> t are always open; out -> in iff
-    the throughput exceeds the weight, other reverse arcs iff they carry flow.
-    Each side is a stack walk over the covers that marks the nodes it
-    reaches in a bytearray indexed like the network; the t-side walk gives
-    up as soon as it reaches s.
+    arcs are those of `_min_flow`'s network holding the flow, each element
+    split into in(x) -> out(x): in -> out, out(x) -> in(y) on a cover, s ->
+    in and out -> t are always open; out -> in iff the throughput exceeds
+    the weight, other reverse arcs iff they carry flow.  Each side is a
+    stack walk over the covers; the t-side walk gives up as soon as it
+    reaches s.  A cut holds the elements of positive weight whose out node
+    (from_t) or in node (from_s) alone is on its side.
     """
     n = len(instance)
     covers, lowers = instance.covers, instance.lower_covers()
@@ -205,17 +205,8 @@ def _residual_sides(
                 if f and not s_in[v]:
                     s_in[v] = 1
                     stack.append(v)
-    return _interleave(t_in, t_out, 2 * n + 1), _interleave(s_in, s_out, 2 * n)
-
-
-def _interleave(ins: bytearray, outs: bytearray, end: int) -> bytearray:
-    """One mark per network node: in(x), out(x), then s and t, with `end` set."""
-    n = len(ins)
-    marks = bytearray(2 * n + 2)
-    marks[0 : 2 * n : 2] = ins
-    marks[1 : 2 * n : 2] = outs
-    marks[end] = 1
-    return marks
+    from_t = [x for x in compress(range(n), map(gt, t_out, t_in)) if weights[x] > 0]
+    return from_t, [x for x in compress(range(n), map(gt, s_in, s_out)) if weights[x] > 0]
 
 
 def _min_flow(
@@ -229,26 +220,25 @@ def _min_flow(
     element, and the units along each of its upper covers, parallel to
     `instance.covers`.  Minimal elements draw their throughput from the
     source, maximal ones send it to the sink.  Without one the first-cover
-    chain start is used; `_residual_sides` checks any start before use.
+    chain start is used; `_residual_sides` checks it and reads its cuts.
 
-    If t does not reach s in the start's residual graph, the start is
-    minimum and no network is built: its sides mark the nodes that the
-    network's `residual_reachable(t)` and `residual_coreachable(s)` return.
-    Otherwise the network cancels flow from t back to s.  The sides are
-    the same for every minimum flow, so the start never changes a cut.
+    If t reaches s there, a network holding the start cancels flow from t
+    back to s, and the same read checks the cancelled flow and takes its
+    cuts, raising InternalConsistencyError if t still reaches s.  The cuts
+    are the same for every minimum flow, so the start never changes a cut.
 
-    Returns (value, (t_side, s_side), (through, cover_flow)): the residual
-    sides of the final flow, and that flow in the start's form.
+    Returns (value, (from_t, from_s), (through, cover_flow)): the two cuts
+    of the final flow, and that flow in the start's form.
     """
     n = len(instance)
     covers, lowers = instance.covers, instance.lower_covers()
     s, t = 2 * n, 2 * n + 1
     through, cover_flow = start if start is not None else _chain_start(instance, weights)
     del start
-    sides = _residual_sides(instance, weights, through, cover_flow)
+    cuts = _residual_sides(instance, weights, through, cover_flow)
     total = sum(f for x, f in enumerate(through) if not lowers[x])
-    if sides is not None:
-        return total, sides, (through, cover_flow)
+    if cuts is not None:
+        return total, cuts, (through, cover_flow)
 
     inf = 4 * max(total, sum(weights)) + 8
     net = FlowNetwork(2 * n + 2)
@@ -272,23 +262,10 @@ def _min_flow(
     # slot 2x is element x's pair, which carries its throughput above its weight
     through = [w + net.flow_on(2 * x) for x, w in enumerate(weights)]
     cover_flow = [[net.flow_on(e) for e in row] for row in slots]
-    sides = tuple(
-        bytearray(u in side for u in range(2 * n + 2))
-        for side in (net.residual_reachable(t), net.residual_coreachable(s))
-    )
-    return value, sides, (through, cover_flow)
-
-
-def _cut_antichains(sides: Sides, weights: list[int]) -> tuple[list[int], list[int]]:
-    """The two extreme maximum cuts of a minimum flow, read as antichains."""
-    n = len(weights)
-
-    def cut(side: bytearray, near: int) -> list[int]:
-        # x is on the cut when the side marks its near node but not the other
-        on_cut = map(gt, side[near : 2 * n : 2], side[1 - near : 2 * n : 2])
-        return [x for x in compress(range(n), on_cut) if weights[x] > 0]
-
-    return cut(sides[0], 1), cut(sides[1], 0)
+    cuts = _residual_sides(instance, weights, through, cover_flow)
+    if cuts is None:
+        raise InternalConsistencyError("the cancelled flow is not minimum")
+    return value, cuts, (through, cover_flow)
 
 
 def _element_grid(instance: PosetInstance, weights: list[int]) -> Grid | None:
@@ -388,14 +365,13 @@ def _heaviest(
 
     The min-flow starts from `_grid_start`'s lift at scale L, else from
     first-cover chains.  Its value must be L times an integer, and each cut
-    an antichain of that weight, else InternalConsistencyError.
+    it returns an antichain of that weight, else InternalConsistencyError.
     """
     scale, start = _grid_start(instance, weights) or (1, None)
-    value, sides, _ = _min_flow(instance, [w * scale for w in weights], start)
+    value, cuts, _ = _min_flow(instance, [w * scale for w in weights], start)
     if value % scale:
         raise InternalConsistencyError(f"flow value {value} not a multiple of {scale}")
     value //= scale
-    cuts = _cut_antichains(sides, weights)
     for members in cuts:
         weight = sum(weights[x] for x in members)
         if weight != value or not instance.is_antichain(members):

@@ -110,7 +110,9 @@ class SublayerTable:
 
 
 def build_table(params: GroundParams, family: Family = Ball()) -> SublayerTable:
-    sizes = {c: sublayer_size(params, c) for c in family_coords(params, family)}
+    # family_coords yields only in-bounds coordinates: one binomial row a side
+    center, far = ([math.comb(n, k) for k in range(n + 1)] for n in (params.p, params.q))
+    sizes = {(i, j): center[i] * far[j] for i, j in family_coords(params, family)}
     return SublayerTable(params, family, sizes)
 
 

@@ -19,22 +19,13 @@ would.
 from __future__ import annotations
 
 
-def reach(start: int, step) -> set[int]:
-    """Nodes reachable from `start`, where `step(u)` lists u's out-neighbours."""
-    seen, frontier = {start}, {start}
-    while frontier:
-        frontier = {v for u in frontier for v in step(u)} - seen
-        seen |= frontier
-    return seen
-
-
 class FlowNetwork:
     """Slots `to` and `cap`, and each node's slots in `adj`.
 
-    `max_flow` and the residual walks only ever change `cap`; they never
-    touch `adj` or `to`.  So networks of one layout may share those two
-    lists (`on_arcs`), each with its own `cap`, as long as nobody calls
-    `add_pair` on them.  A shared `adj` may leave out slots that no search
+    `max_flow` only ever changes `cap` and `residual_reachable` only reads
+    it; neither touches `adj` or `to`.  So networks of one layout may share
+    those two lists (`on_arcs`), each with its own `cap`, as long as nobody
+    calls `add_pair` on them.  A shared `adj` may leave out slots that no search
     can use, such as arcs into the source: the scans skip such slots anyway,
     so the flow and every cut stay the same.
     """
@@ -138,12 +129,14 @@ class FlowNetwork:
         return total
 
     def residual_reachable(self, src: int) -> set[int]:
-        """Nodes reachable from src along positive residual capacity."""
-        to, cap = self.to, self.cap
-        return reach(src, lambda u: [to[e] for e in self.adj[u] if cap[e] > 0])
+        """Nodes reachable from src along positive residual capacity.
 
-    def residual_coreachable(self, dst: int) -> set[int]:
-        """Nodes that can reach dst along positive residual capacity."""
-        # slot e runs u -> to[e]; its partner carries to[e] -> u
-        to, cap = self.to, self.cap
-        return reach(dst, lambda u: [to[e] for e in self.adj[u] if cap[e ^ 1] > 0])
+        The certificate search names its INFEASIBLE cut with it; the
+        antichain min-flow reads its cuts off its final flow instead.
+        """
+        adj, to, cap = self.adj, self.to, self.cap
+        seen, frontier = {src}, {src}
+        while frontier:
+            frontier = {to[e] for u in frontier for e in adj[u] if cap[e] > 0} - seen
+            seen |= frontier
+        return seen

@@ -320,6 +320,64 @@ def konig_independent(
     return [x for x in range(n) if zl >> x & 1 and not zr >> x & 1]
 
 
+def network_cuts(instance, weights: list[int], through: list[int], cover_flow) -> tuple:
+    """(from_t, from_s) of a minimum flow, read on the network holding it.
+
+    The reference read: element x splits into in(x) = 2x -> out(x) = 2x + 1
+    with lower bound weights[x]; covers run out(x) -> in(y), the source
+    s = 2n feeds minimal elements and maximal ones feed the sink t = 2n + 1.
+    Every arc is uncapped, in paired slots with slot ^ 1 its reverse, which
+    holds the flow above the lower bound.  The t side is every node t
+    reaches; the s side, walked backwards over partner slots, every node
+    that reaches s.  A cut holds the elements of positive weight that have
+    their out node (t side) or in node (s side) on the side, not the other.
+    """
+    n = len(weights)
+    s, t = 2 * n, 2 * n + 1
+    uncapped = max(through, default=0) + 1
+    adj: list[list[int]] = [[] for _ in range(2 * n + 2)]
+    to: list[int] = []
+    cap: list[int] = []
+
+    def pair(u: int, v: int, f: int, low: int = 0) -> None:
+        for a, b, c in ((u, v, uncapped - f), (v, u, f - low)):
+            adj[a].append(len(to))
+            to.append(b)
+            cap.append(c)
+
+    has_lower = [False] * n
+    for x, ys in enumerate(instance.covers):
+        pair(2 * x, 2 * x + 1, through[x], weights[x])
+        for y, f in zip(ys, cover_flow[x]):
+            pair(2 * x + 1, 2 * y, f)
+            has_lower[y] = True
+    for x, ys in enumerate(instance.covers):
+        if not has_lower[x]:
+            pair(s, 2 * x, through[x])
+        if not ys:
+            pair(2 * x + 1, t, through[x])
+
+    def side(start: int, backwards: bool) -> set[int]:
+        seen, stack = {start}, [start]
+        while stack:
+            u = stack.pop()
+            for e in adj[u]:
+                # slot e runs u -> to[e]; its partner runs to[e] -> u
+                if cap[e ^ 1 if backwards else e] > 0 and to[e] not in seen:
+                    seen.add(to[e])
+                    stack.append(to[e])
+        return seen
+
+    def cut(marked: set[int], near: int) -> list[int]:
+        return [
+            x
+            for x in range(n)
+            if weights[x] > 0 and 2 * x + near in marked and 2 * x + 1 - near not in marked
+        ]
+
+    return cut(side(t, False), 1), cut(side(s, True), 0)
+
+
 def restart_peel_profiles(dag, total: int, edge_flow: dict) -> list:
     """The reference peel: every round walks again from the source.
 

@@ -39,6 +39,7 @@ from helpers import (
     closure_from_pairs,
     comparability_masks,
     enumerate_family_subsets,
+    network_cuts,
     strict_less_masks,
 )
 
@@ -299,13 +300,13 @@ class TestGuards:
         # levels {0, 2} and {1}: klym weights 1, 2, 1; the chain 0 < 1 weighs
         # 3 like the true maximum {1, 2}, but it is not an antichain
         instance = load_custom_poset({"elements": 3, "relations": [[0, 1]]})
-        real = antichains_module._cut_antichains
+        real = antichains_module._residual_sides
 
         def planted(*args):
-            from_t, _ = real(*args)
-            return from_t, [0, 1]
+            cuts = real(*args)
+            return cuts and (cuts[0], [0, 1])
 
-        monkeypatch.setattr(antichains_module, "_cut_antichains", planted)
+        monkeypatch.setattr(antichains_module, "_residual_sides", planted)
         with pytest.raises(InternalConsistencyError):
             check_klym(instance)
 
@@ -474,10 +475,28 @@ class TestLevelPairStart:
 
 
 def network_route(fn, instance):
-    """`fn(instance)` from the chain start, cancelled on a built network."""
+    """`fn(instance)` from the chain start, cancelled on a built network.
+
+    Only the read of the start itself is skipped, so every min-flow builds
+    its network, and the cancelled flow is read and checked as usual.
+    """
+    real_start, real_read = antichains_module._chain_start, antichains_module._residual_sides
+    starts = []
+
+    def chain_start(*args):
+        start = real_start(*args)
+        starts.append(start[0])
+        return start
+
+    def read(instance, weights, through, cover_flow):
+        if any(through is start for start in starts):
+            return None
+        return real_read(instance, weights, through, cover_flow)
+
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_grid_start", "_residual_sides"):
-            mp.setattr(antichains_module, name, lambda *args: None)
+        mp.setattr(antichains_module, "_grid_start", lambda *args: None)
+        mp.setattr(antichains_module, "_chain_start", chain_start)
+        mp.setattr(antichains_module, "_residual_sides", read)
         return fn(instance)
 
 
@@ -546,6 +565,16 @@ class TestGridStart:
         assert value == brute_max_weight(comparability_masks(lt), weights)
         assert value == sum(weights[x] for x in witness.members)
 
+    def test_cancelled_flow_not_minimum_raises(self, monkeypatch):
+        # the chain start of test_non_minimum_start_builds_the_network, and
+        # a cancel that pushes nothing: t still reaches s in its read
+        instance = build_ball(GroundParams(2, 3, 2))
+        weights = [1] * len(instance)
+        weights[1] = 2
+        monkeypatch.setattr(FlowNetwork, "max_flow", lambda self, s, t: 0)
+        with pytest.raises(InternalConsistencyError, match="not minimum"):
+            max_weight_antichain(instance, weights)
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_direct_read_equals_the_network(self, data):
@@ -562,13 +591,14 @@ class TestGridStart:
         instance = load_custom_poset(
             {"elements": n, "relations": [list(t) for t in pairs]}
         )
-        min_flow, sides_of = antichains_module._min_flow, antichains_module._residual_sides
-        value, sides, final = network_route(lambda i: min_flow(i, weights), instance)
-        # the network's final flow is minimum, so the direct read must see it
-        assert sides_of(instance, weights, *final) == sides
-        chain = sides_of(instance, weights, *antichains_module._chain_start(instance, weights))
-        assert chain is None or chain == sides
-        assert min_flow(instance, weights)[:2] == (value, sides)
+        min_flow, read = antichains_module._min_flow, antichains_module._residual_sides
+        value, cuts, final = network_route(lambda i: min_flow(i, weights), instance)
+        # the cancelled flow is minimum: the direct read, the reference read
+        # on the network holding it and _min_flow's cuts all agree
+        assert read(instance, weights, *final) == network_cuts(instance, weights, *final) == cuts
+        chain = read(instance, weights, *antichains_module._chain_start(instance, weights))
+        assert chain is None or chain == cuts
+        assert min_flow(instance, weights)[:2] == (value, cuts)
 
     def test_lifted_share_off_by_one_raises(self):
         instance = build_ball(GroundParams(3, 3, 2))
