@@ -4,14 +4,15 @@ The width engines split every poset element into a left copy (tail of a
 chain step) and a right copy (head); an edge joins u-left to v-right when
 u < v.  Adjacency is kept as one big-int bit set per left vertex, so both
 the breadth-first layering and the depth-first searches run a machine
-word at a time.
+word at a time.  The sets are top-first, right v at bit n - 1 - v: the
+lowest right is the highest bit, which `bit_length` reads at once.
 
 Phase one is a greedy pass: with every left free, each left in index
 order takes its lowest free right.  In every later phase, Hopcroft-Karp's
 depth-first search may step from a left at layer d only to a right that
 is free or whose mate is alive at layer d + 1.  Each phase keeps those
 rights as bit sets (the phase masks), `free_r` and `open_r[d + 1]`, so a
-search frame picks the lowest unvisited bit of
+search frame picks the highest unvisited bit of
 adj[u] & (free_r | open_r[d + 1]) and never visits a right it rejects.
 The last layering, the one that reaches no free right, is König's
 alternating walk, so the maximum antichain is read off it: no second walk
@@ -27,14 +28,15 @@ from __future__ import annotations
 def hopcroft_karp(
     adj: list[int],
 ) -> tuple[list[int | None], list[int | None], int, list[int]]:
-    """Maximum matching for the bipartite graph adj[u] = bit set of rights.
+    """Maximum matching for adj[u] = rights of u, right v at bit n - 1 - v.
 
     Returns (pair_left, pair_right, size, konig): konig lists, ascending,
     the vertices whose left copy the final layering reaches and whose
     right copy it does not.  Those are the vertices a minimum vertex cover
     misses (König), so over a comparability relation they form a maximum
     antichain.  Deterministic: free left vertices are searched in index
-    order and each frame takes its acceptable rights in ascending bit order.
+    order and each frame takes its acceptable rights in ascending index
+    order, which is descending bit order.
 
     Phase one is a greedy pass.  Every left is free then, so the layering
     has one layer and `open_r[1]` is empty: each left in index order takes
@@ -64,6 +66,7 @@ def hopcroft_karp(
     scan, and so does the returned matching.
     """
     n = len(adj)
+    top = n - 1  # right v sits at bit top - v
     match_l: list[int | None] = [None] * n
     match_r: list[int | None] = [None] * n
     size = 0
@@ -71,9 +74,9 @@ def hopcroft_karp(
     for u, rights in enumerate(adj):
         rem = rights & free_r
         if rem:
-            bit = rem & -rem
-            free_r ^= bit
-            v = bit.bit_length() - 1
+            b = rem.bit_length() - 1
+            free_r ^= 1 << b
+            v = top - b
             match_l[u] = v
             match_r[v] = u
             size += 1
@@ -94,11 +97,10 @@ def hopcroft_karp(
             reached_free = reached_free or bool(reach & free_r)
             matched = reach & ~free_r
             open_r.append(matched)
-            frontier = []
-            while matched:
-                bit = matched & -matched
-                matched ^= bit
-                frontier.append(match_r[bit.bit_length() - 1])
+            # "0b" then the bits top-first: character k is right k + shift
+            digits = bin(matched)
+            shift = n - len(digits)
+            frontier = [match_r[k + shift] for k, c in enumerate(digits) if c == "1"]
             visited += frontier
         if not reached_free:
             # no free right was reached: the rights reached are the mates
@@ -119,22 +121,22 @@ def hopcroft_karp(
                     u = stack.pop()
                     rems.pop()
                     if match_l[u] is not None:
-                        open_r[d] ^= 1 << match_l[u]
+                        open_r[d] ^= 1 << top - match_l[u]
                     if chosen:
                         chosen.pop()
                     continue
-                bit = rem & -rem
-                rems[d] = rem ^ bit
-                v = bit.bit_length() - 1
+                b = rem.bit_length() - 1
+                rems[d] = rem ^ (1 << b)
+                v = top - b
                 chosen.append(v)
-                if free_r & bit:
-                    free_r ^= bit
+                if match_r[v] is None:
+                    free_r ^= 1 << b
                     for k, (u, v) in enumerate(zip(stack, chosen)):
                         match_l[u] = v
                         match_r[v] = u
-                        open_r[k] ^= 1 << v
+                        open_r[k] ^= 1 << top - v
                         if k < d:
-                            open_r[k + 1] ^= 1 << v
+                            open_r[k + 1] ^= 1 << top - v
                     size += 1
                     break
                 w = match_r[v]

@@ -162,16 +162,21 @@ class PosetInstance:
         return len(self.elements)
 
     def up_masks(self) -> list[int]:
-        """Strict up-set of every element, as index bit sets."""
+        """Strict up-set of every element, top-first: y at bit n - 1 - y.
+
+        Built families list elements by height, so up[x] fits below the bit
+        of the first element higher than x: about half of n bits on average.
+        """
         if self._up is None:
             up = [0] * len(self.elements)
+            top = len(up) - 1
             for x in sorted(range(len(up)), key=self.height_of.__getitem__, reverse=True):
-                acc = 1 << x  # closed up-sets while accumulating
+                acc = 1 << top - x  # closed up-sets while accumulating
                 for y in self.covers[x]:
                     acc |= up[y]
                 up[x] = acc
             for x, closed in enumerate(up):
-                up[x] = closed ^ (1 << x)
+                up[x] = closed ^ (1 << top - x)
             self._up = up
         return self._up
 
@@ -222,8 +227,8 @@ def _family_edges(coords: set[Coord]) -> list[tuple[Coord, Coord]]:
     return edges
 
 
-# shapes kept by `_diagram_shape`: enough for one radius cycle of a sweep,
-# which at p = q = 60 with every radius up to p + q is 120 ball shapes
+# untruncated shapes kept by `_diagram_shape`: enough for one radius cycle
+# of a sweep, which at p = q = 60 caches 61 balls and 60 more top spheres
 SHAPE_CACHE_SIZE = 128
 
 
@@ -267,14 +272,16 @@ def quotient_dag(params: GroundParams, family: Family) -> QuotientDag:
     """Coordinate diagram with validated grading and unique endpoints.
 
     Edges, endpoints and heights depend on the coordinate set alone, so
-    they come from a shape shared by every family with that set, kept in a
-    least-recently-used cache of SHAPE_CACHE_SIZE shapes keyed by the
-    coordinate tuple.  In the untruncated regime a ball's coordinates
-    depend only on r.  Each shape is validated once when it is built; an
-    invalid set raises on every call.
+    they come from a shape shared by every family with that set.  Only an
+    untruncated family (radius or sphere index <= min(p, q)), whose set
+    depends on that index alone, keeps its shape in a least-recently-used
+    cache of SHAPE_CACHE_SIZE shapes; truncated sets rarely repeat.  Each
+    shape is validated when built; an invalid set raises on every call.
     """
     table = build_table(params, family)
-    s = _diagram_shape(tuple(table.sizes))
+    index = family.m if isinstance(family, Sphere) else params.r
+    cached = index <= min(params.p, params.q)
+    s = (_diagram_shape if cached else _diagram_shape.__wrapped__)(tuple(table.sizes))
     return QuotientDag(s.coords, s.edges, s.source, s.sink, s.height_of, table, s)
 
 

@@ -50,6 +50,15 @@ def strict_less_masks(subsets: list[frozenset]) -> list[int]:
     return lt
 
 
+def top_first(masks: list[int], n: int) -> list[int]:
+    """The same n-bit sets with index y at bit n - 1 - y, and back again.
+
+    The package stores up-sets and matching adjacency top-first; the
+    references here read and write index y at bit y.
+    """
+    return [int(format(m, f"0{n}b")[::-1], 2) for m in masks]
+
+
 def closure_from_pairs(n: int, pairs) -> list[int]:
     """Strict order as bitmasks from generator pairs, by fixpoint."""
     lt = [0] * n

@@ -9,7 +9,12 @@ from ballwidth.combinatorics import GroundParams
 from ballwidth.matching import hopcroft_karp
 from ballwidth.poset import build_ball, build_sphere, load_custom_poset
 
-from helpers import full_scan_hopcroft_karp, konig_independent, kuhn_matching_size
+from helpers import (
+    full_scan_hopcroft_karp,
+    konig_independent,
+    kuhn_matching_size,
+    top_first,
+)
 
 # (size, sha256 of json.dumps(pair_left)) of the matching over each order's
 # comparability relation; any change to the search order moves the digest
@@ -43,7 +48,7 @@ def bipartite_graphs():
 @given(bipartite_graphs())
 def test_matching_is_valid_and_maximum(adj):
     n = len(adj)
-    pair_l, pair_r, size, konig = hopcroft_karp(adj)
+    pair_l, pair_r, size, konig = hopcroft_karp(top_first(adj, n))
     assert len(pair_l) == len(pair_r) == n
     edges = [(u, v) for u, v in enumerate(pair_l) if v is not None]
     assert len(edges) == size
@@ -65,8 +70,8 @@ def test_konig_gives_an_antichain_of_the_width(data):
     perm = data.draw(st.permutations(range(n)))
     relations = [[perm[u], perm[v]] for u, v in pairs]
     instance = load_custom_poset({"elements": n, "relations": relations})
-    up = instance.up_masks()
-    pair_l, pair_r, size, members = hopcroft_karp(up)
+    pair_l, pair_r, size, members = hopcroft_karp(instance.up_masks())
+    up = top_first(instance.up_masks(), n)
     assert members == konig_independent(up, pair_l, pair_r)
     assert len(members) == n - size
     assert instance.is_antichain(members)
@@ -81,8 +86,9 @@ def test_konig_set_equals_the_reference_walk_on_small_balls():
     for p in range(1, 11):
         for q in range(11 - p):
             for r in range(p + q + 1):
-                up = build_ball(GroundParams(p, q, r)).up_masks()
-                pair_l, pair_r, size, konig = hopcroft_karp(up)
+                ball = build_ball(GroundParams(p, q, r))
+                pair_l, pair_r, size, konig = hopcroft_karp(ball.up_masks())
+                up = top_first(ball.up_masks(), len(ball))
                 assert konig == konig_independent(up, pair_l, pair_r), (p, q, r)
                 assert len(konig) == len(up) - size
                 balls += 1

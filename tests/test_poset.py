@@ -33,6 +33,7 @@ from helpers import (
     closure_from_pairs,
     enumerate_family_subsets,
     strict_less_masks,
+    top_first,
 )
 
 SMALL_BALLS = [(1, 2, 1), (2, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 2), (3, 3, 1)]
@@ -171,7 +172,7 @@ class TestPosetInstance:
         params = GroundParams(2, 3, 2)
         inst = build_ball(params)
         subs = as_subsets(inst, params)
-        assert inst.up_masks() == strict_less_masks(subs)
+        assert inst.up_masks() == top_first(strict_less_masks(subs), len(subs))
 
     def test_lower_covers_transpose(self):
         inst = build_ball(GroundParams(2, 2, 2))
@@ -197,13 +198,34 @@ class TestPosetInstance:
 
     def test_topological_order(self):
         inst = build_ball(GroundParams(2, 3, 2))
-        up = inst.up_masks()
+        up = top_first(inst.up_masks(), len(inst))
         for x in range(len(inst)):
             rest = up[x]
             while rest:
                 bit = rest & -rest
                 assert inst.height_of[x] < inst.height_of[bit.bit_length() - 1]
                 rest ^= bit
+
+    def test_up_masks_are_narrow(self):
+        # elements come in height order and an up-set holds only higher
+        # ones, so top-first it fits below the first element higher than x
+        families = 0
+        for p in range(1, 11):
+            for q in range(11 - p):
+                for r in range(p + q + 1):
+                    params = GroundParams(p, q, r)
+                    for inst in (build_ball(params), build_sphere(params, r)):
+                        n, heights = len(inst), inst.height_of
+                        first_above = {
+                            h: next((k for k, g in enumerate(heights) if g > h), n)
+                            for h in set(heights)
+                        }
+                        for x, m in enumerate(inst.up_masks()):
+                            assert m.bit_length() <= n - first_above[heights[x]], (
+                                p, q, r, x
+                            )
+                        families += 1
+        assert families == 880
 
 
 class TestQuotientDag:
@@ -287,6 +309,23 @@ class TestShapeCache:
         assert len(set(map(id, shapes))) == side
         assert poset._diagram_shape.cache_info().currsize == SHAPE_CACHE_SIZE
 
+    def test_truncated_shapes_are_not_cached(self):
+        # a truncated coordinate set rarely repeats, so it is built uncached
+        # rather than crowding out the shapes that do repeat
+        poset._diagram_shape.cache_clear()
+        truncated = [
+            (GroundParams(3, 5, 4), Ball()),
+            (GroundParams(5, 3, 4), Ball()),
+            (GroundParams(3, 5, 2), Sphere(4)),
+            (GroundParams(5, 3, 2), Sphere(6)),
+        ]
+        for params, family in truncated:
+            quotient_dag(params, family)
+        assert poset._diagram_shape.cache_info().currsize == 0
+        quotient_dag(GroundParams(3, 5, 3), Ball())
+        quotient_dag(GroundParams(5, 3, 2), Sphere(3))
+        assert poset._diagram_shape.cache_info().currsize == 2
+
     def test_invalid_shape_raises_every_time(self, monkeypatch):
         # two coordinates with no edge between them: two sources, two sinks
         def table(params, family):
@@ -319,7 +358,7 @@ class TestCustomPoset:
         # 0<1 is accepted, and the closure waits for the first up_masks()
         assert inst.covers == [[1, 3], [2], [], []]
         assert inst._up is None
-        assert inst.up_masks()[0] == 0b1110
+        assert inst.up_masks()[0] == 0b0111
 
     def test_cover_skipping_a_height(self):
         # 3 < 2 jumps from height 0 to 2, past the level of 1
@@ -348,7 +387,7 @@ class TestCustomPoset:
         assert inst._up is None
         members = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
         assert inst.is_antichain(members) == is_antichain_by_closure(lt, members)
-        assert inst.up_masks() == lt
+        assert inst.up_masks() == top_first(lt, n)
         assert inst.height_of == brute_heights(lt)
         assert [sorted(c) for c in inst.covers] == brute_covers(lt)
 
