@@ -271,27 +271,25 @@ def _min_flow(
 def _element_grid(instance: PosetInstance, weights: list[int]) -> Grid | None:
     """The cell grid found element by element, for a poset with no diagram.
 
-    The cells are the sublayers, or a custom poset's height layers, numbered
-    by first element.  Every element of a cell must weigh the same, and send
-    its covers into the same row of cells and take its lower covers from
-    the same row, else this returns None; so covers between cells are
-    biregular.  None too when every cell holds one element.
+    The cells are the height layers, numbered by first element.  Every
+    element of a cell must weigh the same, and send its covers into the
+    same row of cells and take its lower covers from the same row, else
+    this returns None; so covers between cells are biregular.  None too
+    when every cell holds one element.
     """
-    cells = instance.sublayer_of if instance.sublayer_of is not None else instance.height_of
-    index: dict = {}
-    cell = [index.setdefault(c, len(index)) for c in cells]
+    index: dict[int, int] = {}  # height -> cell
+    cell = [index.setdefault(h, len(index)) for h in instance.height_of]
     k = len(index)
     if k == len(cell):  # every cell one element: the grid is the poset itself
         return None
-    sizes, heights = [0] * k, [0] * k
+    sizes = [0] * k
     rows: dict[int, tuple] = {}  # (weight, upper-cover cells, lower-cover cells)
     for x, (ys, zs) in enumerate(zip(instance.covers, instance.lower_covers())):
         row = (weights[x], [cell[y] for y in ys], [cell[z] for z in zs])
         if rows.setdefault(cell[x], row) != row:
             return None
         sizes[cell[x]] += 1
-        heights[cell[x]] = instance.height_of[x]
-    return cell, sizes, heights, [rows[c][1] for c in range(k)], [rows[c][0] for c in range(k)]
+    return cell, sizes, list(index), [rows[c][1] for c in range(k)], [rows[c][0] for c in range(k)]
 
 
 def _diagram_grid(instance: PosetInstance, weights: list[int]) -> Grid | None:
@@ -346,7 +344,7 @@ def _grid_start(instance: PosetInstance, weights: list[int]) -> tuple[int, tuple
     cell, sizes, heights, rows, cell_weights = grid
     counts = [Counter(row) for row in rows]  # d(c -> c') by c'
     ups = [sorted(d) for d in counts]
-    poset = PosetInstance(list(range(len(sizes))), ups, heights, None)
+    poset = PosetInstance(ups, heights)
     demand = [w * size for w, size in zip(cell_weights, sizes)]
     _, _, (through, flow) = _min_flow(poset, demand)
     scale = lcm(*sizes, *(size * d for size, ds in zip(sizes, counts) for d in ds.values()))

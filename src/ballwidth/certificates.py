@@ -29,7 +29,6 @@ from .combinatorics import (
     Coord,
     GroundParams,
     LayerProfile,
-    SublayerTable,
     _level_coords,
     binomial,
     largest_sphere_sublayer,
@@ -65,16 +64,14 @@ class CertificateVerdict:
     diagnostics: str
 
 
-def certificate_check(
-    certificate: Certificate, table: SublayerTable, dag: QuotientDag
-) -> bool:
+def certificate_check(certificate: Certificate, dag: QuotientDag) -> bool:
     """Re-derive every certificate invariant from scratch.
 
     Profiles are read as positions in the diagram's coordinate list and
     their steps tested against the shape's edges as position pairs; the
-    sizes are this table's own.  Raises ValueError for malformed input
-    (unknown coordinates, bad counts); returns False when a well-formed
-    certificate simply fails an invariant.
+    sizes are the diagram's own table's.  Raises ValueError for malformed
+    input (unknown coordinates, bad counts); returns False when a
+    well-formed certificate simply fails an invariant.
     """
     shape = dag.shape
     coords, index, height_of = shape.coords, shape.index, shape.height_of
@@ -121,7 +118,7 @@ def certificate_check(
     if len(set(per_height.values())) > 1:
         return False
 
-    sizes = [table.sizes[c] for c in coords]
+    sizes = [dag.table.sizes[c] for c in coords]
     target = certificate.target_height
     if any(
         n != size
@@ -308,7 +305,7 @@ def certificate_search(
     profiles = _peel(shape, total, cap[first_edge + 1 : circulation : 2])
 
     certificate = Certificate(tuple(profiles), coverage, target_height)
-    if not certificate_check(certificate, dag.table, dag):
+    if not certificate_check(certificate, dag):
         raise InternalConsistencyError("search produced an invalid certificate")
     status = _status_for(coverage, dag, target_height)
     return CertificateVerdict(
@@ -462,7 +459,7 @@ def zigzag_certificate(params: GroundParams) -> CertificateVerdict:
 
     if params.r == 0:
         certificate = Certificate(((((0, 0),), 1),), {(0, 0): 1}, 0)
-        if not certificate_check(certificate, dag.table, dag):
+        if not certificate_check(certificate, dag):
             raise InternalConsistencyError("trivial certificate failed its check")
         return CertificateVerdict(CERTIFIED, certificate, "single-point ball")
 
@@ -525,7 +522,7 @@ def zigzag_certificate(params: GroundParams) -> CertificateVerdict:
 
         profiles = _peel_profiles(dag, coverage[dag.source], flows)
         certificate = Certificate(tuple(profiles), coverage, target_height)
-        if not certificate_check(certificate, dag.table, dag):
+        if not certificate_check(certificate, dag):
             raise InternalConsistencyError("zigzag produced an invalid certificate")
         status = _status_for(coverage, dag, target_height)
         note = f"start {start} routes {coverage[dag.source]} chains"

@@ -31,8 +31,8 @@ from .poset import (
     DEFAULT_ELEMENT_BUDGET,
     build_ball,
     build_sphere,
+    family_subsets,
     load_custom_poset,
-    subset_of,
 )
 from .reports import (
     emit_json,
@@ -99,7 +99,8 @@ def _run_width(args: argparse.Namespace) -> int:
     value, witness = width(instance, args.budget)
     members: list = list(witness.members)
     if params is not None:
-        rendered = [sorted(subset_of(instance.elements[k], params)) for k in members]
+        subsets = family_subsets(instance)
+        rendered = [sorted(subsets[k]) for k in members]
     else:
         rendered = members
     payload = {

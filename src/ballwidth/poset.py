@@ -1,9 +1,9 @@
 """Concrete posets induced by the two-sided subset order.
 
-An element keeps two bit sets: which center elements were dropped and which
-far-side elements were gained.  x <= y exactly when y drops a subset of what
-x drops and gains a superset of what x gains; this is the plain subset order
-on the represented sets, restricted to the family.
+An element stands for two bit sets: which center elements were dropped
+and which far-side elements were gained.  x <= y exactly when y drops a
+subset of what x drops and gains a superset of what x gains; this is the
+plain subset order on the represented sets, restricted to the family.
 
 Cover steps move one bit at a time: restore one dropped center element,
 gain one new far-side element, or (only when the family skips the single
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from itertools import combinations
-from typing import NamedTuple
 
 from .combinatorics import (
     Ball,
@@ -29,27 +28,6 @@ from .combinatorics import (
 from .errors import BudgetExceededError, CustomPosetError, GradedQuotientError
 
 DEFAULT_ELEMENT_BUDGET = 200000
-
-
-class Element(NamedTuple):
-    removal: int  # bit k set = center element k+1 dropped
-    addition: int  # bit k set = far-side element k+1 gained
-
-    @property
-    def coord(self) -> Coord:
-        return (self.removal.bit_count(), self.addition.bit_count())
-
-
-def leq(x: Element, y: Element) -> bool:
-    """Subset order: y drops less and gains more."""
-    return (y.removal & ~x.removal) == 0 and (x.addition & ~y.addition) == 0
-
-
-def subset_of(element: Element, params: GroundParams) -> frozenset[int]:
-    """The represented subset of {1..p+q}."""
-    members = [k + 1 for k in range(params.p) if not element.removal >> k & 1]
-    members += [params.p + k + 1 for k in range(params.q) if element.addition >> k & 1]
-    return frozenset(members)
 
 
 @dataclass(eq=False)
@@ -135,21 +113,20 @@ class QuotientDag:
 
 @dataclass(eq=False)
 class PosetInstance:
-    """A fully materialised poset with covers and heights.
+    """A poset on the ids 0..n-1, held as its covers and heights.
 
-    Built families carry Element entries, their coordinates and the
-    family's `QuotientDag`, whose sublayers hold the elements in contiguous
-    blocks, in `dag.coords` order; the flow route reads its cell grid from
-    that diagram.  Custom posets carry opaque integer ids and no diagram.
-    The order closure is the matching engine's input, built on the first
-    `up_masks()`; the width engines memoise the matching's size with its
-    König antichain, and the unit-weight extreme cuts, here too.
+    A built ball or sphere also keeps its family's `QuotientDag`: its
+    sublayers hold the elements in contiguous blocks, in `dag.coords`
+    order, which the flow route reads as its cell grid and
+    `family_subsets` decodes into the represented sets.  Custom posets
+    have no diagram.  The order closure is the matching engine's input,
+    built on the first `up_masks()`; the width engines memoise the
+    matching's size with its König antichain, and the unit-weight extreme
+    cuts, here too.
     """
 
-    elements: list
     covers: list[list[int]]  # upper-cover adjacency, by element index
     height_of: list[int]
-    sublayer_of: list[Coord] | None
     dag: QuotientDag | None = None
     _up: list[int] | None = field(default=None, repr=False)
     _lower: list[list[int]] | None = field(default=None, repr=False)
@@ -159,7 +136,7 @@ class PosetInstance:
     )
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.covers)
 
     def up_masks(self) -> list[int]:
         """Strict up-set of every element, top-first: y at bit n - 1 - y.
@@ -168,7 +145,7 @@ class PosetInstance:
         of the first element higher than x: about half of n bits on average.
         """
         if self._up is None:
-            up = [0] * len(self.elements)
+            up = [0] * len(self.covers)
             top = len(up) - 1
             for x in sorted(range(len(up)), key=self.height_of.__getitem__, reverse=True):
                 acc = 1 << top - x  # closed up-sets while accumulating
@@ -182,7 +159,7 @@ class PosetInstance:
 
     def lower_covers(self) -> list[list[int]]:
         if self._lower is None:
-            lower: list[list[int]] = [[] for _ in self.elements]
+            lower: list[list[int]] = [[] for _ in self.covers]
             for x, ys in enumerate(self.covers):
                 for y in ys:
                     lower[y].append(x)
@@ -315,20 +292,15 @@ def _build_family(
     # tail, then head, so each cover list is ascending; its entries are the
     # shared ints of `ids`.
     p, q = params.p, params.q
-    elements: list[Element] = []
-    sublayer_of: list[Coord] = []
     height_of: list[int] = []
     first: dict[Coord, int] = {}
     for c in dag.coords:  # already (height, i, j) ordered
         i, j = c
-        first[c] = len(elements)
-        elements += [Element(rm, am) for rm in masks(p, i) for am in masks(q, j)]
-        block = len(elements) - first[c]
-        sublayer_of += [c] * block
-        height_of += [dag.height_of[c]] * block
-    if len(elements) != total:
+        first[c] = len(height_of)
+        height_of += [dag.height_of[c]] * (len(masks(p, i)) * len(masks(q, j)))
+    if len(height_of) != total:
         raise GradedQuotientError(
-            f"enumerated {len(elements)} elements, expected {total}"
+            f"enumerated {len(height_of)} elements, expected {total}"
         )
 
     ids = list(range(total))
@@ -344,7 +316,30 @@ def _build_family(
                 covers[k] += [ids[a + g] for a in row for g in gain]
                 k += 1
 
-    return PosetInstance(elements, covers, height_of, sublayer_of, dag)
+    return PosetInstance(covers, height_of, dag)
+
+
+def family_subsets(instance: PosetInstance) -> list[frozenset[int]]:
+    """The subset of {1..p+q} that each element of a built family represents.
+
+    Decodes `_build_family`'s layout: block (i, j) lists its drop masks
+    times its gain masks, each ascending; dropped center bit k removes
+    k + 1 and gained far bit k adds p + k + 1.
+    """
+    dag = instance.dag
+    p, q = dag.table.params.p, dag.table.params.q
+    subsets: list[frozenset[int]] = []
+    for i, j in dag.coords:
+        kept = [
+            frozenset(k + 1 for k in range(p) if not m >> k & 1)
+            for m in masks_with_popcount(p, i)
+        ]
+        gained = [
+            frozenset(p + k + 1 for k in range(q) if m >> k & 1)
+            for m in masks_with_popcount(q, j)
+        ]
+        subsets += [center | far for center in kept for far in gained]
+    return subsets
 
 
 def build_ball(
@@ -433,4 +428,4 @@ def load_custom_poset(
         if below[u]:
             up[u] = above | bits
 
-    return PosetInstance(list(range(n)), covers, height_of, None)
+    return PosetInstance(covers, height_of)

@@ -33,7 +33,7 @@ from .antichains import (
 )
 from .certificates import NOT_APPLICABLE, certificate_search, theorem_bound
 from .combinatorics import Ball, GroundParams, heaviest_sublayer_chain
-from .errors import InternalConsistencyError
+from .errors import BudgetExceededError, InternalConsistencyError
 from .poset import DEFAULT_ELEMENT_BUDGET, build_ball, build_sphere, quotient_dag
 from .reports import ball_profile, status_tally
 
@@ -95,7 +95,11 @@ def _verify(
 ) -> SweepRecord:
     params = GroundParams(p, q, r)
     start = time.perf_counter()
-    dag = quotient_dag(params, Ball())
+    try:  # within both budgets: the ball's own diagram serves the record
+        instance = build_ball(params, min(element_budget, matching_budget))
+        dag = instance.dag
+    except BudgetExceededError:
+        instance, dag = None, quotient_dag(params, Ball())
     profile = ball_profile(dag)
     ball_size = dag.table.total
     in_regime = r <= min(p, q)
@@ -106,8 +110,7 @@ def _verify(
     klym: bool | None = None
     bound_ok: bool | None = None
 
-    if ball_size <= element_budget and ball_size <= matching_budget:
-        instance = build_ball(params, element_budget)
+    if instance is not None:
         if in_regime:
             # closed-form heights must agree with the longest-path ones,
             # which every element of a sublayer takes from the diagram

@@ -59,6 +59,41 @@ def top_first(masks: list[int], n: int) -> list[int]:
     return [int(format(m, f"0{n}b")[::-1], 2) for m in masks]
 
 
+def sublayers(instance) -> list[tuple[int, int]]:
+    """Each element's sublayer (i, j): `dag.coords` expanded by their sizes."""
+    dag = instance.dag
+    return [c for c in dag.coords for _ in range(dag.table.sizes[c])]
+
+
+def sublayer_grid(instance, weights: list[int]):
+    """(cell, sizes, heights, rows, cell weights) over the sublayer cells.
+
+    Cells are numbered by first element.  Every element of a cell must
+    weigh the same, send its upper covers into the same ordered row of
+    cells and take its lower covers from the same row, else None; None
+    too when every cell holds one element.
+    """
+    cells = sublayers(instance)
+    index: dict = {}
+    cell = [index.setdefault(c, len(index)) for c in cells]
+    k = len(index)
+    if k == len(cell):
+        return None
+    lower: list[list[int]] = [[] for _ in cell]
+    for x, ys in enumerate(instance.covers):
+        for y in ys:
+            lower[y].append(x)
+    sizes, heights = [0] * k, [0] * k
+    rows: dict[int, tuple] = {}
+    for x, (ys, zs) in enumerate(zip(instance.covers, lower)):
+        row = (weights[x], [cell[y] for y in ys], [cell[z] for z in zs])
+        if rows.setdefault(cell[x], row) != row:
+            return None
+        sizes[cell[x]] += 1
+        heights[cell[x]] = instance.height_of[x]
+    return cell, sizes, heights, [rows[c][1] for c in range(k)], [rows[c][0] for c in range(k)]
+
+
 def closure_from_pairs(n: int, pairs) -> list[int]:
     """Strict order as bitmasks from generator pairs, by fixpoint."""
     lt = [0] * n

@@ -37,6 +37,8 @@ from ballwidth.poset import build_ball, build_sphere, load_custom_poset, quotien
 from ballwidth.reports import emit_sweep_csv, emit_sweep_json, emit_sweep_text
 from ballwidth.sweep import sweep_range, sweep_tuples
 
+from helpers import sublayers
+
 DOMAIN = sweep_tuples(11, 11, n_max=12)
 
 
@@ -168,7 +170,7 @@ def test_criterion_05_certificates(criterion, ball_instances, matching_widths):
             verdict, layer_size = certified_width(params)
             assert verdict.status in ("CERTIFIED", "CERTIFIED_STRICT")
             assert layer_size == matching_widths[key]
-            assert certificate_check(verdict.certificate, table, quotient_dag(params, Ball()))
+            assert certificate_check(verdict.certificate, quotient_dag(params, Ball()))
         verdict, _ = certified_width(GroundParams(1, 2, 1))
         assert verdict.status == "CERTIFIED_STRICT"
         assert verdict.certificate.coverage == {(1, 0): 2, (0, 0): 2, (0, 1): 2}
@@ -250,7 +252,7 @@ def test_criterion_10_multiset_ratio_monotonicity(criterion):
 def test_criterion_11_height_formula(criterion, ball_instances):
     with criterion(11, "longest-path heights equal r - i + j and the coordinate diagram runs from (r, 0) to (0, r)"):
         for (p, q, r), (params, instance) in ball_instances.items():
-            for coord, h in zip(instance.sublayer_of, instance.height_of):
+            for coord, h in zip(sublayers(instance), instance.height_of):
                 i, j = coord
                 assert h == r - i + j
             dag = quotient_dag(params, Ball())

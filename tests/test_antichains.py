@@ -25,8 +25,8 @@ from ballwidth.poset import (
     QuotientDag,
     build_ball,
     build_sphere,
+    family_subsets,
     load_custom_poset,
-    subset_of,
 )
 from ballwidth.sweep import VERIFIED_UNIQUE, sweep_tuples, verify_instance
 
@@ -41,6 +41,8 @@ from helpers import (
     enumerate_family_subsets,
     network_cuts,
     strict_less_masks,
+    sublayer_grid,
+    sublayers,
 )
 
 
@@ -74,7 +76,7 @@ IDS = [name for name, _, _ in CORPUS]
 def independent_order(instance, params):
     """Strict-less bitmasks rebuilt without the instance's own caches."""
     if params is not None:
-        return strict_less_masks([subset_of(e, params) for e in instance.elements])
+        return strict_less_masks(family_subsets(instance))
     pairs = [(x, y) for x, ups in enumerate(instance.covers) for y in ups]
     return closure_from_pairs(len(instance), pairs)
 
@@ -337,7 +339,7 @@ def klym_both_routes(instance):
 
 def shares_a_cell(instance):
     """Does some sublayer hold two elements?  Else `_grid_start` skips the lift."""
-    return len(set(instance.sublayer_of)) < len(instance)
+    return len(set(sublayers(instance))) < len(instance)
 
 
 def domain_spheres():
@@ -671,7 +673,7 @@ class TestGridStart:
 
     def test_sphere_as_custom_poset_builds_no_network(self, monkeypatch):
         sphere = build_sphere(GroundParams(9, 9, 5), 5)
-        custom = PosetInstance(list(range(len(sphere))), sphere.covers, sphere.height_of, None)
+        custom = PosetInstance(sphere.covers, sphere.height_of)
         assert antichains_module._grid_start(custom, [1] * len(custom)) is not None
         expect = check_klym(sphere)
         built = []
@@ -733,14 +735,19 @@ class TestDiagramGrid:
             for q in range(13 - p):
                 for r in range(p + q + 1):
                     params = GroundParams(p, q, r)
-                    for instance in (build_ball(params), build_sphere(params, r)):
-                        unit = [1] * len(instance)
-                        found = antichains_module._element_grid(instance, unit)
-                        read = antichains_module._diagram_grid(instance, unit)
+                    ball, sphere = build_ball(params), build_sphere(params, r)
+                    # a sphere's height layers are its sublayers, so the
+                    # discovery on its bare covers and heights finds them
+                    bare = PosetInstance(sphere.covers, sphere.height_of)
+                    for instance, found in (
+                        (ball, sublayer_grid(ball, [1] * len(ball))),
+                        (sphere, antichains_module._element_grid(bare, [1] * len(bare))),
+                    ):
+                        read = antichains_module._diagram_grid(instance, [1] * len(instance))
                         assert read == found, (p, q, r)
                         assert (read is not None) == shares_a_cell(instance), (p, q, r)
-                        first = list(dict.fromkeys(instance.sublayer_of))
-                        assert first == instance.dag.coords, (p, q, r)
+                        heights = [instance.dag.height_of[c] for c in sublayers(instance)]
+                        assert heights == instance.height_of, (p, q, r)
                         count += 1
         assert count == 2 * sum(p + q + 1 for p in range(1, 13) for q in range(13 - p))
 
@@ -784,8 +791,7 @@ class TestDiagramGrid:
                         for j in range(q + 1)
                     }
                     weights = []
-                    for e in instance.elements:
-                        members = subset_of(e, params)
+                    for members in family_subsets(instance):
                         i = p - sum(1 for k in members if k <= p)
                         weights.append(cell_weight[i, len(members) - (p - i)])
                     read.clear()

@@ -41,7 +41,7 @@ TINY_PROFILE = ((1, 0), (0, 0), (0, 1))
 
 @pytest.fixture(scope="module")
 def tiny():
-    return build_table(TINY), quotient_dag(TINY, Ball())
+    return quotient_dag(TINY, Ball())
 
 
 def tiny_certificate(mult=2, coverage=None, target=2):
@@ -52,79 +52,75 @@ def tiny_certificate(mult=2, coverage=None, target=2):
 
 class TestCertificateCheck:
     def test_accepts_valid_certificate(self, tiny):
-        table, dag = tiny
-        assert certificate_check(tiny_certificate(), table, dag)
+        dag = tiny
+        assert certificate_check(tiny_certificate(), dag)
 
     def test_malformed_input_raises(self, tiny):
-        table, dag = tiny
+        dag = tiny
         with pytest.raises(ValueError, match="target height"):
-            certificate_check(tiny_certificate(target=5), table, dag)
+            certificate_check(tiny_certificate(target=5), dag)
         with pytest.raises(ValueError, match="unknown coordinate"):
             bad = Certificate(((TINY_PROFILE, 2),), {(0, 2): 2}, 2)
-            certificate_check(bad, table, dag)
+            certificate_check(bad, dag)
         with pytest.raises(ValueError, match="must be a count"):
             certificate_check(
                 tiny_certificate(coverage={(1, 0): "2", (0, 0): 2, (0, 1): 2}),
-                table,
                 dag,
             )
         with pytest.raises(ValueError, match="must be a count"):
             certificate_check(
                 tiny_certificate(coverage={(1, 0): -1, (0, 0): 2, (0, 1): 2}),
-                table,
                 dag,
             )
         with pytest.raises(ValueError, match="multiplicity"):
-            certificate_check(Certificate(((TINY_PROFILE, 0),), {}, 2), table, dag)
+            certificate_check(Certificate(((TINY_PROFILE, 0),), {}, 2), dag)
         with pytest.raises(ValueError, match="unknown coordinate"):
-            certificate_check(
-                Certificate(((((1, 0), (1, 1)), 1),), {}, 2), table, dag
-            )
+            certificate_check(Certificate(((((1, 0), (1, 1)), 1),), {}, 2), dag)
         with pytest.raises(ValueError, match="empty profile"):
-            certificate_check(Certificate((((), 1),), {}, 0), table, dag)
+            certificate_check(Certificate((((), 1),), {}, 0), dag)
 
     def test_profile_must_span_source_to_sink(self, tiny):
-        table, dag = tiny
+        dag = tiny
         short = Certificate(
             ((((0, 0), (0, 1)), 2),), {(0, 0): 2, (0, 1): 2}, 2
         )
-        assert not certificate_check(short, table, dag)
+        assert not certificate_check(short, dag)
 
     def test_profile_steps_must_be_edges(self, tiny):
-        table, dag = tiny
+        dag = tiny
         jump = Certificate(
             ((((1, 0), (0, 1)), 2),), {(1, 0): 2, (0, 1): 2}, 2
         )
-        assert not certificate_check(jump, table, dag)
+        assert not certificate_check(jump, dag)
 
     def test_coverage_must_match_the_profiles(self, tiny):
-        table, dag = tiny
+        dag = tiny
         lying = tiny_certificate(coverage={(1, 0): 2, (0, 0): 3, (0, 1): 2})
-        assert not certificate_check(lying, table, dag)
+        assert not certificate_check(lying, dag)
 
     def test_target_layer_must_be_exact(self, tiny):
-        table, dag = tiny
+        dag = tiny
         # two chains put coverage 2 on the singleton layer at height 1
-        assert not certificate_check(tiny_certificate(target=1), table, dag)
+        assert not certificate_check(tiny_certificate(target=1), dag)
 
     def test_domination_of_the_target_rate(self, tiny):
-        table, dag = tiny
+        dag = tiny
         # one chain is exact on height 0 but covers only half of (0, 1)
         starved = tiny_certificate(mult=1, target=0)
-        assert not certificate_check(starved, table, dag)
+        assert not certificate_check(starved, dag)
 
 
 class TestCertificateSearch:
     def test_tiny_ball_is_strictly_certified(self, tiny):
-        table, dag = tiny
+        dag = tiny
         verdict = certificate_search(dag, 2)
         assert verdict.status == CERTIFIED_STRICT
         assert verdict.certificate.profiles == ((TINY_PROFILE, 2),)
         assert verdict.certificate.coverage == {(1, 0): 2, (0, 0): 2, (0, 1): 2}
-        assert certificate_check(verdict.certificate, table, dag)
+        assert certificate_check(verdict.certificate, dag)
 
     def test_impossible_target_reports_the_cut(self, tiny):
-        table, dag = tiny
+        dag = tiny
         verdict = certificate_search(dag, 0)
         assert verdict.status == INFEASIBLE
         assert verdict.certificate is None
@@ -134,7 +130,7 @@ class TestCertificateSearch:
         )
 
     def test_target_height_validation(self, tiny):
-        _, dag = tiny
+        dag = tiny
         with pytest.raises(ValueError):
             certificate_search(dag, 3)
 
@@ -150,7 +146,7 @@ class TestCertificateSearch:
         dag = quotient_dag(params, Ball())
         verdict = certificate_search(dag, profile.argmax[0])
         assert verdict.status in (CERTIFIED, CERTIFIED_STRICT)
-        assert certificate_check(verdict.certificate, table, dag)
+        assert certificate_check(verdict.certificate, dag)
         # a chain family covering every layer at the target rate pins the
         # width to the layer size, so the two must agree
         assert profile.max_size == width(build_ball(params))[0]
@@ -162,23 +158,23 @@ class TestPeelProfiles:
     UP, ACROSS = ((1, 0), (0, 0)), ((0, 0), (0, 1))
 
     def test_flow_off_the_diagram_raises(self, tiny):
-        _, dag = tiny
+        dag = tiny
         flow = {self.UP: 1, self.ACROSS: 1, ((1, 0), (0, 1)): 1}
         with pytest.raises(InternalConsistencyError, match="not a diagram edge"):
             _peel_profiles(dag, 1, flow)
 
     def test_stuck_walk_raises(self, tiny):
-        _, dag = tiny
+        dag = tiny
         with pytest.raises(InternalConsistencyError, match=r"stuck at \(0, 0\)"):
             _peel_profiles(dag, 1, {self.UP: 1})
 
     def test_leftover_flow_raises(self, tiny):
-        _, dag = tiny
+        dag = tiny
         with pytest.raises(InternalConsistencyError, match="left over"):
             _peel_profiles(dag, 1, {self.UP: 2, self.ACROSS: 1})
 
     def test_flow_beyond_the_total_raises(self, tiny):
-        _, dag = tiny
+        dag = tiny
         with pytest.raises(InternalConsistencyError, match="carries 2 chains, not 1"):
             _peel_profiles(dag, 1, {self.UP: 2, self.ACROSS: 2})
 
@@ -346,10 +342,8 @@ class TestSharedShapes:
         assert dags[a].shape is dags[b].shape
         for own, other in ((a, b), (b, a)):
             verdict, _ = certified_width(own)
-            assert certificate_check(verdict.certificate, dags[own].table, dags[own])
-            assert not certificate_check(
-                verdict.certificate, dags[other].table, dags[other]
-            )
+            assert certificate_check(verdict.certificate, dags[own])
+            assert not certificate_check(verdict.certificate, dags[other])
 
 
 def certified_width_digest(n: int) -> tuple[int, str]:
@@ -403,7 +397,7 @@ class TestCertifiedWidth:
         assert verdict.status == CERTIFIED_STRICT
         table = build_table(GroundParams(5, 8, 4))
         dag = quotient_dag(GroundParams(5, 8, 4), Ball())
-        assert certificate_check(verdict.certificate, table, dag)
+        assert certificate_check(verdict.certificate, dag)
         for c in dag.coords:
             if dag.height_of[c] != 4:
                 assert verdict.certificate.coverage[c] >= table.sizes[c] + 1
@@ -441,9 +435,8 @@ class TestZigzagCertificate:
             (1, 3): 280, (0, 2): 41,
             (0, 3): 321, (0, 4): 321,
         }
-        table = build_table(GroundParams(5, 8, 4))
         dag = quotient_dag(GroundParams(5, 8, 4), Ball())
-        assert certificate_check(verdict.certificate, table, dag)
+        assert certificate_check(verdict.certificate, dag)
 
     def test_tiny_ball(self):
         verdict = zigzag_certificate(TINY)
@@ -479,9 +472,8 @@ class TestZigzagCertificate:
         params = GroundParams(p, q, r)
         verdict = zigzag_certificate(params)
         assert verdict.status in (CERTIFIED, CERTIFIED_STRICT)
-        table = build_table(params)
         dag = quotient_dag(params, Ball())
-        assert certificate_check(verdict.certificate, table, dag)
+        assert certificate_check(verdict.certificate, dag)
 
 
 class TestGkPartition:

@@ -70,6 +70,29 @@ class TestWidth:
         assert payload["elements"] == 4
         assert sorted(payload["witness"]) == [[1, 2], [1, 3]]
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                "-p 5 -q 8 -r 4 --format json",
+                "9d4ca831445729a1246f1401184c3e764d258d717ed6ed4537784f7997f86574",
+            ),
+            (
+                "-p 5 -q 8 -r 4",
+                "d4c208d47a1901304c3ef01cd85d971150732ed48d01e45d6629bddc8fbd0af7",
+            ),
+            (  # r > min(p, q): a truncated ball
+                "-p 2 -q 5 -r 4 --format json",
+                "cf86a79d20e2424572bdb6f65654f621052150a17e59831e72499ccc3f0c327a",
+            ),
+        ],
+    )
+    def test_rendering_is_pinned(self, capsys, argv, digest):
+        # the witness's subsets are decoded from the ball's block layout
+        rc, out, _ = run(["width", *argv.split()], capsys)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_custom_poset(self, capsys, tmp_path):
         doc = tmp_path / "poset.json"
         doc.write_text(json.dumps({"elements": 3, "relations": [[0, 1]]}))

@@ -17,14 +17,12 @@ from ballwidth.combinatorics import (
 from ballwidth.errors import BudgetExceededError, CustomPosetError, GradedQuotientError
 from ballwidth.poset import (
     SHAPE_CACHE_SIZE,
-    Element,
     build_ball,
     build_sphere,
-    leq,
+    family_subsets,
     load_custom_poset,
     masks_with_popcount,
     quotient_dag,
-    subset_of,
 )
 
 from helpers import (
@@ -33,14 +31,11 @@ from helpers import (
     closure_from_pairs,
     enumerate_family_subsets,
     strict_less_masks,
+    sublayers,
     top_first,
 )
 
 SMALL_BALLS = [(1, 2, 1), (2, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 2), (3, 3, 1)]
-
-
-def as_subsets(instance, params):
-    return [subset_of(e, params) for e in instance.elements]
 
 
 def is_antichain_by_closure(lt, members):
@@ -49,24 +44,22 @@ def is_antichain_by_closure(lt, members):
 
 
 class TestElements:
-    def test_coord_counts_bits(self):
-        assert Element(0b101, 0b0110).coord == (2, 2)
-
     def test_subset_of_reference(self):
-        params = GroundParams(3, 4, 2)
-        assert subset_of(Element(0, 0), params) == frozenset({1, 2, 3})
-        # dropped center bit k removes k+1; far bit k adds p+k+1
-        assert subset_of(Element(0b010, 0b1001), params) == frozenset({1, 3, 4, 7})
-
-    @given(st.integers(1, 6), st.integers(0, 6), st.data())
-    def test_leq_is_subset_containment(self, p, q, data):
-        rm_a = data.draw(st.integers(0, (1 << p) - 1))
-        rm_b = data.draw(st.integers(0, (1 << p) - 1))
-        ad_a = data.draw(st.integers(0, (1 << q) - 1)) if q else 0
-        ad_b = data.draw(st.integers(0, (1 << q) - 1)) if q else 0
-        params = GroundParams(p, q, 0)
-        x, y = Element(rm_a, ad_a), Element(rm_b, ad_b)
-        assert leq(x, y) == (subset_of(x, params) <= subset_of(y, params))
+        # B_2[3,4] in its block layout: blocks by height, then (i, j); each
+        # block its drop masks times its gain masks, ascending.  A dropped
+        # center bit k removes k + 1, a gained far bit k adds p + k + 1
+        subsets = [sorted(s) for s in family_subsets(build_ball(GroundParams(3, 4, 2)))]
+        assert subsets[:8] == [
+            [3], [2], [1],  # (2, 0): drop 011, 101, 110
+            [2, 3], [1, 3], [1, 2],  # (1, 0)
+            [1, 2, 3],  # (0, 0)
+            [2, 3, 4],  # (1, 1): drop 001, gain 0001
+        ]
+        digest = hashlib.sha256(json.dumps(subsets).encode()).hexdigest()
+        assert (len(subsets), digest) == (
+            29,
+            "da44645fd28b68fbb358650468e00fe76213009bdb50d4e804040f097c12bc27",
+        )
 
 
 class TestMasksWithPopcount:
@@ -83,12 +76,9 @@ class TestMasksWithPopcount:
 class TestBuildBall:
     def test_tiny_ball_layout(self):
         inst = build_ball(GroundParams(1, 2, 1))
-        assert inst.elements == [
-            Element(1, 0), Element(0, 0), Element(0, 1), Element(0, 2),
-        ]
         assert inst.covers == [[1], [2, 3], [], []]
         assert inst.height_of == [0, 1, 2, 2]
-        assert as_subsets(inst, GroundParams(1, 2, 1)) == [
+        assert family_subsets(inst) == [
             frozenset(), frozenset({1}), frozenset({1, 2}), frozenset({1, 3}),
         ]
 
@@ -97,7 +87,7 @@ class TestBuildBall:
         params = GroundParams(p, q, r)
         inst = build_ball(params)
         want = enumerate_family_subsets(p, q, lambda i, j: i + j <= r)
-        assert set(as_subsets(inst, params)) == want
+        assert set(family_subsets(inst)) == want
         assert len(inst) == build_table(params).total
 
     @pytest.mark.parametrize(
@@ -113,14 +103,15 @@ class TestBuildBall:
         # radius, and (3, 0, 2) has no far side
         params = GroundParams(p, q, r)
         inst = build_sphere(params, r) if sphere else build_ball(params)
-        lt = strict_less_masks(as_subsets(inst, params))
+        lt = strict_less_masks(family_subsets(inst))
         assert inst.height_of == brute_heights(lt)
         assert inst.covers == brute_covers(lt)
 
     def test_layout_is_pinned(self):
-        # elements, covers, heights and sublayers of every ball and sphere
-        # with p + q <= 10 at every radius: the flow route's grid, its
-        # chain start and the pinned cuts all read this layout
+        # elements as [removal, addition] masks, covers, heights and
+        # sublayers of every ball and sphere with p + q <= 10 at every
+        # radius: the flow route's grid, its chain start and the pinned
+        # cuts all read this layout
         digest = hashlib.sha256()
         families = 0
         for p in range(1, 11):
@@ -128,7 +119,14 @@ class TestBuildBall:
                 for r in range(p + q + 1):
                     params = GroundParams(p, q, r)
                     for inst in (build_ball(params), build_sphere(params, r)):
-                        layout = [inst.elements, inst.covers, inst.height_of, inst.sublayer_of]
+                        masks = [
+                            [
+                                sum(1 << k for k in range(p) if k + 1 not in s),
+                                sum(1 << k for k in range(q) if p + k + 1 in s),
+                            ]
+                            for s in family_subsets(inst)
+                        ]
+                        layout = [masks, inst.covers, inst.height_of, sublayers(inst)]
                         digest.update(json.dumps(layout).encode())
                         families += 1
         assert (families, digest.hexdigest()) == (
@@ -139,8 +137,9 @@ class TestBuildBall:
     def test_heights_closed_form_in_regime(self):
         params = GroundParams(3, 3, 2)
         inst = build_ball(params)
-        for e, h in zip(inst.elements, inst.height_of):
-            i, j = e.coord
+        for s, h in zip(family_subsets(inst), inst.height_of):
+            kept = sum(1 for k in s if k <= params.p)
+            i, j = params.p - kept, len(s) - kept
             assert h == params.r - i + j
 
     def test_budget(self):
@@ -153,7 +152,8 @@ class TestBuildBall:
     def test_deterministic_rebuild(self):
         a = build_ball(GroundParams(3, 4, 2))
         b = build_ball(GroundParams(3, 4, 2))
-        assert a.elements == b.elements and a.covers == b.covers
+        assert family_subsets(a) == family_subsets(b)
+        assert a.covers == b.covers and a.height_of == b.height_of
 
 
 class TestBuildSphereAndBand:
@@ -161,17 +161,17 @@ class TestBuildSphereAndBand:
         params = GroundParams(2, 3, 2)
         inst = build_sphere(params, 2)
         want = enumerate_family_subsets(2, 3, lambda i, j: i + j == 2)
-        assert set(as_subsets(inst, params)) == want
+        assert set(family_subsets(inst)) == want
         # on a sphere the height is the number of gained elements
-        for e, h in zip(inst.elements, inst.height_of):
-            assert h == e.coord[1]
+        for s, h in zip(family_subsets(inst), inst.height_of):
+            assert h == sum(1 for k in s if k > params.p)
 
 
 class TestPosetInstance:
     def test_up_masks_are_strict_containment(self):
         params = GroundParams(2, 3, 2)
         inst = build_ball(params)
-        subs = as_subsets(inst, params)
+        subs = family_subsets(inst)
         assert inst.up_masks() == top_first(strict_less_masks(subs), len(subs))
 
     def test_lower_covers_transpose(self):
@@ -192,7 +192,7 @@ class TestPosetInstance:
     def test_is_antichain_matches_the_closure(self, pqr, sphere, data):
         params = GroundParams(*pqr)
         inst = build_sphere(params, params.r) if sphere else build_ball(params)
-        lt = strict_less_masks(as_subsets(inst, params))
+        lt = strict_less_masks(family_subsets(inst))
         members = data.draw(st.lists(st.integers(0, len(inst) - 1), max_size=6))
         assert inst.is_antichain(members) == is_antichain_by_closure(lt, members)
 
