@@ -328,7 +328,7 @@ def _ball_layers(
     if params.r > min(params.p, params.q):
         raise ValueError("certificates need the untruncated regime r <= min(p, q)")
     dag = quotient_dag(params, Ball())
-    profile = layer_profile(dag.table)
+    profile = layer_profile(dag)
     tie = None
     if profile.tie:
         tie = CertificateVerdict(

@@ -173,27 +173,16 @@ def profile_from_sizes(sizes_by_height: dict[int, int]) -> LayerProfile:
     return LayerProfile(heights, argmax, len(argmax) > 1)
 
 
-def layer_profile(table: SublayerTable) -> LayerProfile:
-    """Aggregate a ball or sphere table into per-height totals.
+def layer_profile(dag) -> LayerProfile:
+    """Total sublayer size per height of a family's `poset.QuotientDag`.
 
-    Uses the closed-form height, which is only valid while the family is
-    untruncated (r <= min(p, q)); otherwise callers must aggregate over
-    longest-path heights from the poset construction instead.
+    The heights are the diagram's closed form, so this holds in every
+    regime, truncated radii included.
     """
-    params = table.params
-    if isinstance(table.family, Sphere):
-        index, name, height = table.family.m, "the sphere index", lambda c: c[1]
-    else:
-        index, name, height = params.r, "r", lambda c: params.r - c[0] + c[1]
-    if index > min(params.p, params.q):
-        raise ValueError(
-            f"closed-form heights need {name} <= min(p, q); "
-            "use longest-path heights for the truncated regime"
-        )
     agg: dict[int, int] = {}
-    for c, v in table.sizes.items():
-        h = height(c)
-        agg[h] = agg.get(h, 0) + v
+    for c, size in dag.table.sizes.items():
+        h = dag.height_of[c]
+        agg[h] = agg.get(h, 0) + size
     return profile_from_sizes(agg)
 
 

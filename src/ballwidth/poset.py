@@ -6,8 +6,8 @@ subset of what x drops and gains a superset of what x gains; this is the
 plain subset order on the represented sets, restricted to the family.
 
 Cover steps move one bit at a time: restore one dropped center element,
-gain one new far-side element, or (only when the family skips the single
-steps, as a sphere does) both at once.
+gain one new far-side element, or, on a sphere, which holds no single
+step, both at once.
 """
 
 from __future__ import annotations
@@ -35,11 +35,12 @@ class DiagramShape:
     """What a diagram's coordinate set alone decides, shared by its tuples.
 
     The coordinates in (height, i, j) order, the edges, the endpoints and
-    the heights are read-only: every diagram with this coordinate set holds
-    the same lists and dict.  The index-space views that the certificate
-    machinery reads are built on first use, so a shape that is only swept
-    never carries them; `search_layouts` holds the certificate search's
-    network layouts, one per target height.
+    the closed-form heights (see `_diagram_shape`) are read-only: every
+    diagram with this coordinate set holds the same lists and dict.  The
+    index-space views that the certificate machinery reads are built on
+    first use, so a shape that is only swept never carries them;
+    `search_layouts` holds the certificate search's network layouts, one
+    per target height.
     """
 
     coords: list[Coord]
@@ -186,24 +187,6 @@ def masks_with_popcount(width: int, k: int) -> list[int]:
     return sorted(sum(1 << b for b in bits) for bits in combinations(range(width), k))
 
 
-def _family_edges(coords: set[Coord]) -> list[tuple[Coord, Coord]]:
-    edges: list[tuple[Coord, Coord]] = []
-    for i, j in sorted(coords):
-        restore = (i - 1, j)
-        gain = (i, j + 1)
-        has_restore = i >= 1 and restore in coords
-        has_gain = gain in coords
-        if has_restore:
-            edges.append(((i, j), restore))
-        if has_gain:
-            edges.append(((i, j), gain))
-        if not has_restore and not has_gain:
-            diag = (i - 1, j + 1)
-            if i >= 1 and diag in coords:
-                edges.append(((i, j), diag))
-    return edges
-
-
 # untruncated shapes kept by `_diagram_shape`: enough for one radius cycle
 # of a sweep, which at p = q = 60 caches 61 balls and 60 more top spheres
 SHAPE_CACHE_SIZE = 128
@@ -211,45 +194,51 @@ SHAPE_CACHE_SIZE = 128
 
 @lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def _diagram_shape(coord_list: tuple[Coord, ...]) -> DiagramShape:
-    """The validated diagram of a coordinate set; a raise is not cached."""
-    coords = set(coord_list)
-    edges = _family_edges(coords)
+    """The diagram of a coordinate set, with its heights in closed form.
 
-    indeg: dict[Coord, int] = {c: 0 for c in coord_list}
-    outdeg: dict[Coord, int] = {c: 0 for c in coord_list}
-    for u, v in edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    sources = [c for c in coord_list if indeg[c] == 0]
-    sinks = [c for c in coord_list if outdeg[c] == 0]
+    A sphere is the one family whose coordinates all lie on one i + j: it
+    steps diagonally, (i, j) -> (i - 1, j + 1); any other set is a ball,
+    stepping by a restore (i - 1, j) and a gain (i, j + 1).  Edges come by
+    tail in (i, j) order, restore before gain.  Every step raises the
+    height by one, so with `top` the largest i a ball's heights are
+    top - i + j and a sphere's top - i.  These are the longest-path heights
+    once the endpoints are unique and the source sits at height 0, which
+    is what is checked here; a raise is not cached.
+    """
+    coords = set(coord_list)
+    ball = len({i + j for i, j in coords}) > 1
+    moves = ((-1, 0), (0, 1)) if ball else ((-1, 1),)
+    edges = [
+        ((i, j), (i + di, j + dj))
+        for i, j in sorted(coords)
+        for di, dj in moves
+        if (i + di, j + dj) in coords
+    ]
+    heads, tails = {v for _, v in edges}, {u for u, _ in edges}
+    sources = [c for c in coord_list if c not in heads]
+    sinks = [c for c in coord_list if c not in tails]
     if len(sources) != 1 or len(sinks) != 1:
         raise GradedQuotientError(
             f"need unique endpoints, found sources={sources}, sinks={sinks}"
         )
     source, sink = sources[0], sinks[0]
 
-    # longest path from the source, the one coordinate with no in-edge:
-    # every edge strictly raises j - i, so taking edges by their tail's
-    # j - i settles each tail before it is read
-    height_of: dict[Coord, int] = dict.fromkeys(coord_list, 0)
-    for u, v in sorted(edges, key=lambda e: e[0][1] - e[0][0]):
-        if height_of[v] <= height_of[u]:
-            height_of[v] = height_of[u] + 1
-    for u, v in edges:
-        if height_of[v] != height_of[u] + 1:
-            raise GradedQuotientError(
-                f"edge {u} -> {v} spans heights {height_of[u]} -> {height_of[v]}"
-            )
-
+    top = max(i for i, _ in coords)
+    height_of = {(i, j): top - i + (j if ball else 0) for i, j in coord_list}
+    if height_of[source]:
+        raise GradedQuotientError(
+            f"source {source} sits at height {height_of[source]}, not 0"
+        )
     ordered = sorted(coord_list, key=lambda c: (height_of[c], c))
     return DiagramShape(ordered, edges, source, sink, height_of)
 
 
 def quotient_dag(params: GroundParams, family: Family) -> QuotientDag:
-    """Coordinate diagram with validated grading and unique endpoints.
+    """Coordinate diagram with closed-form heights and unique endpoints.
 
     Edges, endpoints and heights depend on the coordinate set alone, so
-    they come from a shape shared by every family with that set.  Only an
+    they come from a shape shared by every family with that set: a ball's
+    height is min(p, r) - i + j, a sphere's min(p, m) - i.  Only an
     untruncated family (radius or sphere index <= min(p, q)), whose set
     depends on that index alone, keeps its shape in a least-recently-used
     cache of SHAPE_CACHE_SIZE shapes; truncated sets rarely repeat.  Each

@@ -20,7 +20,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -32,10 +32,10 @@ from .antichains import (
     width,
 )
 from .certificates import NOT_APPLICABLE, certificate_search, theorem_bound
-from .combinatorics import Ball, GroundParams, heaviest_sublayer_chain
+from .combinatorics import Ball, GroundParams, heaviest_sublayer_chain, layer_profile
 from .errors import BudgetExceededError, InternalConsistencyError
 from .poset import DEFAULT_ELEMENT_BUDGET, build_ball, build_sphere, quotient_dag
-from .reports import ball_profile, status_tally
+from .reports import status_tally
 
 VERIFIED_UNIQUE = "VERIFIED_UNIQUE"
 TIE = "TIE"
@@ -66,7 +66,7 @@ class SweepRecord:
     matching_budget: int | None = None
 
     def to_line(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps(vars(self))
 
     @classmethod
     def from_line(cls, line: str) -> "SweepRecord":
@@ -100,7 +100,7 @@ def _verify(
         dag = instance.dag
     except BudgetExceededError:
         instance, dag = None, quotient_dag(params, Ball())
-    profile = ball_profile(dag)
+    profile = layer_profile(dag)
     ball_size = dag.table.total
     in_regime = r <= min(p, q)
 
@@ -111,14 +111,6 @@ def _verify(
     bound_ok: bool | None = None
 
     if instance is not None:
-        if in_regime:
-            # closed-form heights must agree with the longest-path ones,
-            # which every element of a sublayer takes from the diagram
-            for c in dag.coords:
-                if dag.height_of[c] != r - c[0] + c[1]:
-                    raise InternalConsistencyError(
-                        f"height of sublayer {c} deviates from r - i + j"
-                    )
         width_value, _ = width(instance, matching_budget)
         flow_value, _ = flow_width(instance)
         grid_value, grid_count = heaviest_sublayer_chain(dag.table)
@@ -137,7 +129,6 @@ def _verify(
             if unique != (grid_count == 1):
                 raise InternalConsistencyError("uniqueness engines disagree")
         if in_regime:
-            # the height check above makes this the closed-form profile
             cert_status = NOT_APPLICABLE
             if not profile.tie:
                 cert_status = certificate_search(dag, profile.argmax[0]).status

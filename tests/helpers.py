@@ -465,3 +465,34 @@ def restart_peel_profiles(dag, total: int, edge_flow: dict) -> list:
     if any(remaining):
         raise ValueError("edge flow left over after decomposition")
     return profiles
+
+
+def longest_path_shape(coord_list) -> tuple:
+    """(coords in (height, i, j) order, edges, source, sink, heights).
+
+    The reference diagram of a coordinate set, by the rule that predates
+    the closed form: a restore (i - 1, j) and a gain (i, j + 1) where they
+    exist, and the diagonal (i - 1, j + 1) only where neither does; every
+    height is the longest edge path from the one coordinate with no
+    in-edge.  Raises ValueError unless both endpoints are unique.
+    """
+    coords = set(coord_list)
+    edges = []
+    for i, j in sorted(coords):
+        single = [c for c in ((i - 1, j), (i, j + 1)) if c in coords]
+        diagonal = [(i - 1, j + 1)] if not single and (i - 1, j + 1) in coords else []
+        edges += [((i, j), c) for c in single + diagonal]
+    sources = [c for c in coord_list if all(v != c for _, v in edges)]
+    sinks = [c for c in coord_list if all(u != c for u, _ in edges)]
+    if len(sources) != 1 or len(sinks) != 1:
+        raise ValueError(f"sources {sources}, sinks {sinks}")
+    height = dict.fromkeys(coord_list, 0)
+    changed = True
+    while changed:  # relax to the fixpoint: the longest paths
+        changed = False
+        for u, v in edges:
+            if height[v] < height[u] + 1:
+                height[v] = height[u] + 1
+                changed = True
+    ordered = sorted(coord_list, key=lambda c: (height[c], c))
+    return ordered, edges, sources[0], sinks[0], height

@@ -140,10 +140,9 @@ class TestCertificateSearch:
     )
     def test_search_certifies_strict_largest_layers(self, p, q, r):
         params = GroundParams(p, q, r)
-        table = build_table(params)
-        profile = layer_profile(table)
-        assert not profile.tie, "corpus must use strict largest layers"
         dag = quotient_dag(params, Ball())
+        profile = layer_profile(dag)
+        assert not profile.tie, "corpus must use strict largest layers"
         verdict = certificate_search(dag, profile.argmax[0])
         assert verdict.status in (CERTIFIED, CERTIFIED_STRICT)
         assert certificate_check(verdict.certificate, dag)

@@ -24,6 +24,8 @@ from ballwidth.combinatorics import (
     zigzag_margin,
 )
 
+from ballwidth.poset import quotient_dag
+
 from helpers import pascal_binomial, poly_layer_counts
 
 
@@ -108,7 +110,7 @@ class TestBuildTable:
 
 class TestLayerProfile:
     def test_reference_ball_profile(self):
-        profile = layer_profile(build_table(GroundParams(5, 8, 4)))
+        profile = layer_profile(quotient_dag(GroundParams(5, 8, 4), Ball()))
         assert profile.heights == {
             0: 5, 1: 10, 2: 90, 3: 85, 4: 321, 5: 148, 6: 308, 7: 56, 8: 70,
         }
@@ -117,21 +119,22 @@ class TestLayerProfile:
         assert profile.max_size == 321
 
     def test_sphere_profile_by_gain_count(self):
-        profile = layer_profile(build_table(GroundParams(5, 8, 4), Sphere(3)))
+        profile = layer_profile(quotient_dag(GroundParams(5, 8, 4), Sphere(3)))
         assert profile.heights == {0: 10, 1: 80, 2: 140, 3: 56}
         assert profile.argmax == [2]
 
     def test_tie_detected(self):
-        profile = layer_profile(build_table(GroundParams(2, 2, 1)))
+        profile = layer_profile(quotient_dag(GroundParams(2, 2, 1), Ball()))
         assert profile.heights == {0: 2, 1: 1, 2: 2}
         assert profile.argmax == [0, 2]
         assert profile.tie
 
-    def test_truncated_regime_rejected(self):
-        with pytest.raises(ValueError, match="longest-path heights"):
-            layer_profile(build_table(GroundParams(2, 5, 4)))
-        with pytest.raises(ValueError):
-            layer_profile(build_table(GroundParams(2, 5, 0), Sphere(4)))
+    def test_truncated_regime(self):
+        # radius and sphere index past min(p, q) = 2: heights 2 - i + j and 2 - i
+        ball = layer_profile(quotient_dag(GroundParams(2, 5, 4), Ball()))
+        assert ball.heights == {0: 1, 1: 7, 2: 21, 3: 25, 4: 30, 5: 10, 6: 5}
+        sphere = layer_profile(quotient_dag(GroundParams(2, 5, 0), Sphere(4)))
+        assert sphere.heights == {0: 10, 1: 20, 2: 5}
 
     def test_profile_from_sizes_rejects_empty(self):
         with pytest.raises(ValueError):

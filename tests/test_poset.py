@@ -30,6 +30,7 @@ from helpers import (
     brute_heights,
     closure_from_pairs,
     enumerate_family_subsets,
+    longest_path_shape,
     strict_less_masks,
     sublayers,
     top_first,
@@ -252,6 +253,22 @@ class TestQuotientDag:
             ((1, 2), (0, 3)), ((2, 1), (1, 2)), ((3, 0), (2, 1)),
         ]
 
+    def test_closed_form_equals_longest_paths(self):
+        # every ball and sphere with p + q <= 12, at every radius and index
+        shapes = 0
+        for p in range(1, 13):
+            for q in range(13 - p):
+                for k in range(p + q + 1):
+                    for params, family in (
+                        (GroundParams(p, q, k), Ball()),
+                        (GroundParams(p, q, 0), Sphere(k)),
+                    ):
+                        dag = quotient_dag(params, family)
+                        want = longest_path_shape(tuple(dag.table.sizes))
+                        assert shape_fields(dag) == want, (p, q, k, family)
+                        shapes += 1
+        assert shapes == 1456
+
     def test_truncated_regime_longest_path(self):
         dag = quotient_dag(GroundParams(2, 5, 4), Ball())
         assert dag.source == (2, 0) and dag.sink == (0, 4)
@@ -339,6 +356,16 @@ class TestShapeCache:
         after = poset._diagram_shape.cache_info()
         assert after.misses == before.misses + 3
         assert after.currsize == before.currsize
+
+    def test_source_off_height_zero_raises(self, monkeypatch):
+        # one restore (1, 1) -> (0, 1): unique endpoints, but the source's
+        # closed-form height 1 - 1 + 1 is not its longest path, 0
+        def table(params, family):
+            return SublayerTable(params, family, {(1, 1): 1, (0, 1): 1})
+
+        monkeypatch.setattr(poset, "build_table", table)
+        with pytest.raises(GradedQuotientError, match="not 0"):
+            quotient_dag(GroundParams(3, 3, 3), Ball())
 
 
 class TestCustomPoset:

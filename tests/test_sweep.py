@@ -121,6 +121,17 @@ class TestSweepRecordSerialization:
         assert SweepRecord.from_line(record.to_line()) == record
         assert record.key() == (record.p, record.q, record.r)
 
+    def test_line_is_the_dataclass_as_json(self):
+        # over budget, so width, unique, klym_sphere and theorem_bound_ok are
+        # None; so are the budgets of a record from an older log
+        record = dataclasses.replace(
+            verify_instance(2, 2, 2, element_budget=5),
+            element_budget=None,
+            matching_budget=None,
+        )
+        assert record.width is None and record.unique is None
+        assert record.to_line() == json.dumps(dataclasses.asdict(record))
+
     def test_line_is_single_json_object(self):
         line = verify_instance(1, 2, 1).to_line()
         assert "\n" not in line
