@@ -58,8 +58,8 @@ def width(
 ) -> tuple[int, AntichainWitness]:
     """Longest antichain size plus one witness antichain of that size.
 
-    The matching's size and König antichain are memoised on the instance;
-    the budget and the witness check hold on every call.
+    The matching's size and König antichain are memoised on the instance,
+    not its closure; the budget and the witness check hold on every call.
     """
     n = len(instance)
     if n > matching_budget:

@@ -120,16 +120,15 @@ class PosetInstance:
     sublayers hold the elements in contiguous blocks, in `dag.coords`
     order, which the flow route reads as its cell grid and
     `family_subsets` decodes into the represented sets.  Custom posets
-    have no diagram.  The order closure is the matching engine's input,
-    built on the first `up_masks()`; the width engines memoise the
-    matching's size with its König antichain, and the unit-weight extreme
-    cuts, here too.
+    have no diagram.  The order closure is the matching engine's input
+    alone, so `up_masks()` builds it on each call and nothing keeps it; the
+    width engines memoise the matching's size with its König antichain,
+    and the unit-weight extreme cuts, here.
     """
 
     covers: list[list[int]]  # upper-cover adjacency, by element index
     height_of: list[int]
     dag: QuotientDag | None = None
-    _up: list[int] | None = field(default=None, repr=False)
     _lower: list[list[int]] | None = field(default=None, repr=False)
     _matching: tuple[int, list[int]] | None = field(default=None, repr=False)
     _unit_cuts: tuple[int, list[int], list[int]] | None = field(
@@ -144,19 +143,18 @@ class PosetInstance:
 
         Built families list elements by height, so up[x] fits below the bit
         of the first element higher than x: about half of n bits on average.
+        Built on every call and kept nowhere, as only the matching reads it.
         """
-        if self._up is None:
-            up = [0] * len(self.covers)
-            top = len(up) - 1
-            for x in sorted(range(len(up)), key=self.height_of.__getitem__, reverse=True):
-                acc = 1 << top - x  # closed up-sets while accumulating
-                for y in self.covers[x]:
-                    acc |= up[y]
-                up[x] = acc
-            for x, closed in enumerate(up):
-                up[x] = closed ^ (1 << top - x)
-            self._up = up
-        return self._up
+        up = [0] * len(self.covers)
+        top = len(up) - 1
+        for x in sorted(range(len(up)), key=self.height_of.__getitem__, reverse=True):
+            acc = 1 << top - x  # closed up-sets while accumulating
+            for y in self.covers[x]:
+                acc |= up[y]
+            up[x] = acc
+        for x, closed in enumerate(up):
+            up[x] = closed ^ (1 << top - x)
+        return up
 
     def lower_covers(self) -> list[list[int]]:
         if self._lower is None:
@@ -353,7 +351,7 @@ def load_custom_poset(
     Each pair asserts u strictly below v; the order is the transitive
     closure of the pairs and must be acyclic.  The element count is held
     to the budget before the relations are read.  Heights and covers come
-    from the pairs in topological order; the closure waits for `up_masks()`.
+    from the pairs in topological order; only `up_masks()` builds the closure.
     """
     if not isinstance(document, dict):
         raise CustomPosetError("document must be an object with elements/relations")

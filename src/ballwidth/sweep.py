@@ -95,44 +95,11 @@ def _verify(
 ) -> SweepRecord:
     params = GroundParams(p, q, r)
     start = time.perf_counter()
-    try:  # within both budgets: the ball's own diagram serves the record
-        instance = build_ball(params, min(element_budget, matching_budget))
-        dag = instance.dag
-    except BudgetExceededError:
-        instance, dag = None, quotient_dag(params, Ball())
-    profile = layer_profile(dag)
-    ball_size = dag.table.total
-    in_regime = r <= min(p, q)
-
-    width_value: int | None = None
-    unique: bool | None = None
-    cert_status = SKIPPED
+    dag, profile, width_value, unique, cert_status, bound_ok = _check_ball(
+        params, element_budget, matching_budget
+    )
     klym: bool | None = None
-    bound_ok: bool | None = None
-
-    if instance is not None:
-        width_value, _ = width(instance, matching_budget)
-        flow_value, _ = flow_width(instance)
-        grid_value, grid_count = heaviest_sublayer_chain(dag.table)
-        if not width_value == flow_value == grid_value:
-            raise InternalConsistencyError(
-                f"matching width {width_value} vs flow width {flow_value} "
-                f"vs sublayer chain weight {grid_value}"
-            )
-        if width_value == profile.max_size and not profile.tie:
-            layer = [
-                k
-                for k in range(len(instance))
-                if instance.height_of[k] == profile.argmax[0]
-            ]
-            unique = is_unique_max_antichain(instance, layer, matching_budget)
-            if unique != (grid_count == 1):
-                raise InternalConsistencyError("uniqueness engines disagree")
-        if in_regime:
-            cert_status = NOT_APPLICABLE
-            if not profile.tie:
-                cert_status = certificate_search(dag, profile.argmax[0]).status
-            bound_ok = width_value <= theorem_bound(params)
+    if width_value is not None:
         # the top shell of a ball within budget fits it too; build_sphere checks
         klym = check_klym(build_sphere(params, min(r, p + q), element_budget)).holds
 
@@ -150,7 +117,7 @@ def _verify(
         p=p,
         q=q,
         r=r,
-        ball_size=str(ball_size),
+        ball_size=str(dag.table.total),
         largest_layer_height=profile.argmax[0],
         largest_layer_size=str(profile.max_size),
         tie=profile.tie,
@@ -164,6 +131,45 @@ def _verify(
         element_budget=element_budget,
         matching_budget=matching_budget,
     )
+
+
+def _check_ball(params: GroundParams, element_budget: int, matching_budget: int):
+    """(dag, profile, width, unique, certificate, theorem bound ok) of a ball.
+
+    The ball and its flows die with this call, and its closure inside the
+    matching, so none is held while the top sphere is built and checked:
+    a tuple peaks at its matching, not at the sum of its stages.  Past
+    either budget only the diagram is built, and nothing is checked.
+    """
+    try:  # within both budgets: the ball's own diagram serves the record
+        instance = build_ball(params, min(element_budget, matching_budget))
+    except BudgetExceededError:
+        dag = quotient_dag(params, Ball())
+        return dag, layer_profile(dag), None, None, SKIPPED, None
+    dag = instance.dag
+    profile = layer_profile(dag)
+
+    width_value, _ = width(instance, matching_budget)
+    flow_value, _ = flow_width(instance)
+    grid_value, grid_count = heaviest_sublayer_chain(dag.table)
+    if not width_value == flow_value == grid_value:
+        raise InternalConsistencyError(
+            f"matching width {width_value} vs flow width {flow_value} "
+            f"vs sublayer chain weight {grid_value}"
+        )
+    unique: bool | None = None
+    if width_value == profile.max_size and not profile.tie:
+        layer = [k for k, h in enumerate(instance.height_of) if h == profile.argmax[0]]
+        unique = is_unique_max_antichain(instance, layer, matching_budget)
+        if unique != (grid_count == 1):
+            raise InternalConsistencyError("uniqueness engines disagree")
+    cert_status, bound_ok = SKIPPED, None
+    if params.r <= min(params.p, params.q):
+        cert_status = NOT_APPLICABLE
+        if not profile.tie:
+            cert_status = certificate_search(dag, profile.argmax[0]).status
+        bound_ok = width_value <= theorem_bound(params)
+    return dag, profile, width_value, unique, cert_status, bound_ok
 
 
 def sweep_tuples(

@@ -3,7 +3,7 @@
 Everything here recomputes answers from first principles: subset
 containment, full 2^n enumeration, fixpoint closures.  Nothing imports
 the algorithms under test, so an agreement is two independent routes to
-the same number.
+the same number.  `counting` is the one spy: it counts a function's calls.
 """
 
 from __future__ import annotations
@@ -22,6 +22,16 @@ def pascal_binomial(n: int, k: int) -> int:
         prev = _PASCAL[-1]
         _PASCAL.append([1] + [prev[t] + prev[t + 1] for t in range(len(prev) - 1)] + [1])
     return _PASCAL[n][k]
+
+
+def counting(calls: dict, name: str, fn):
+    """fn, adding one to calls[name] on every call."""
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
 
 
 def enumerate_family_subsets(p, q, keep):

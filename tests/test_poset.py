@@ -17,6 +17,7 @@ from ballwidth.combinatorics import (
 from ballwidth.errors import BudgetExceededError, CustomPosetError, GradedQuotientError
 from ballwidth.poset import (
     SHAPE_CACHE_SIZE,
+    PosetInstance,
     build_ball,
     build_sphere,
     family_subsets,
@@ -29,6 +30,7 @@ from helpers import (
     brute_covers,
     brute_heights,
     closure_from_pairs,
+    counting,
     enumerate_family_subsets,
     longest_path_shape,
     strict_less_masks,
@@ -377,14 +379,18 @@ class TestCustomPoset:
         assert inst.is_antichain([1, 2])
         assert not inst.is_antichain([0, 1])
 
-    def test_closure_and_covers(self):
+    def test_closure_and_covers(self, monkeypatch):
+        calls = {"up_masks": 0}
+        monkeypatch.setattr(
+            PosetInstance, "up_masks", counting(calls, "up_masks", PosetInstance.up_masks)
+        )
         inst = load_custom_poset(
             {"elements": 4, "relations": [[0, 1], [1, 2], [0, 3], [0, 2], [0, 1]]}
         )
         # 0<2 also follows through 1, so 2 does not cover 0; the repeated
-        # 0<1 is accepted, and the closure waits for the first up_masks()
+        # 0<1 is accepted, and only up_masks() builds the closure
         assert inst.covers == [[1, 3], [2], [], []]
-        assert inst._up is None
+        assert calls["up_masks"] == 0
         assert inst.up_masks()[0] == 0b0111
 
     def test_cover_skipping_a_height(self):
@@ -409,9 +415,14 @@ class TestCustomPoset:
                 max_size=12,
             )
         )
-        inst = load_custom_poset({"elements": n, "relations": [list(t) for t in pairs]})
+        calls = {"up_masks": 0}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                PosetInstance, "up_masks", counting(calls, "up_masks", PosetInstance.up_masks)
+            )
+            inst = load_custom_poset({"elements": n, "relations": [list(t) for t in pairs]})
         lt = closure_from_pairs(n, pairs)
-        assert inst._up is None
+        assert calls["up_masks"] == 0
         members = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
         assert inst.is_antichain(members) == is_antichain_by_closure(lt, members)
         assert inst.up_masks() == top_first(lt, n)

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import multiprocessing
 import sys
+import tracemalloc
+import weakref
 from concurrent.futures import Future
 
 import pytest
@@ -475,3 +477,33 @@ class TestBuildsPerTuple:
                         monkeypatch.setattr(mod, attr, counted)
         verify_instance(*key)
         assert calls == {"quotient_dag": 2, "build_table": 2}
+
+    def test_ball_dies_before_its_sphere(self, monkeypatch):
+        # the ball's checks keep no reference to the ball or its closure, so
+        # the top sphere is built with next to nothing traced since the call
+        # began: a tuple peaks at its matching, not at the sum of its stages
+        import ballwidth.sweep as sweep_module
+
+        balls, at_sphere = [], []
+        build_ball, build_sphere = sweep_module.build_ball, sweep_module.build_sphere
+
+        def ball_spy(*args, **kwargs):
+            ball = build_ball(*args, **kwargs)
+            balls.append(weakref.ref(ball))
+            return ball
+
+        def sphere_spy(*args, **kwargs):
+            at_sphere.append((balls[0]() is None, tracemalloc.get_traced_memory()[0]))
+            return build_sphere(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "build_ball", ball_spy)
+        monkeypatch.setattr(sweep_module, "build_sphere", sphere_spy)
+        tracemalloc.start()
+        try:
+            record = verify_instance(9, 9, 5)  # a ball of 12,616 elements
+        finally:
+            tracemalloc.stop()
+        assert record.status == "TIE" and record.klym_sphere is True
+        [(ball_dead, traced)] = at_sphere
+        assert ball_dead
+        assert traced < 2**20, f"{traced / 2**20:.2f} MB traced at build_sphere"
