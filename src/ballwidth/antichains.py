@@ -12,8 +12,10 @@ Two engines that must agree:
   chains; it cancels on a network only when that start is not minimum,
   and checks both extreme cuts `_residual_sides` reads off the final flow.
 
-Whenever both run on the same instance the values are cross-checked and a
+The sweep cross-checks the two values on every ball it verifies, and a
 disagreement raises InternalConsistencyError, never a wrong answer.
+Uniqueness needs the flow alone: its two extreme cuts bound every maximum
+antichain.
 """
 
 from __future__ import annotations
@@ -58,16 +60,13 @@ def width(
 ) -> tuple[int, AntichainWitness]:
     """Longest antichain size plus one witness antichain of that size.
 
-    The matching's size and König antichain are memoised on the instance,
-    not its closure; the budget and the witness check hold on every call.
+    Each call matches over a fresh order closure and reads the König
+    antichain off the last layering; nothing is memoised.
     """
     n = len(instance)
     if n > matching_budget:
         raise BudgetExceededError(n, matching_budget, "elements for matching")
-    if instance._matching is None:
-        _, _, msize, members = hopcroft_karp(instance.up_masks())
-        instance._matching = msize, members
-    msize, members = instance._matching
+    _, _, msize, members = hopcroft_karp(instance.up_masks())
     w = n - msize
     if len(members) != w or not instance.is_antichain(members):
         raise InternalConsistencyError(
@@ -434,15 +433,13 @@ def check_klym(instance: PosetInstance) -> KlymVerdict:
     return KlymVerdict(value <= scale, Fraction(value, scale), witness)
 
 
-def is_unique_max_antichain(
-    instance: PosetInstance,
-    candidate,
-    matching_budget: int = DEFAULT_MATCHING_BUDGET,
-) -> bool:
+def is_unique_max_antichain(instance: PosetInstance, candidate) -> bool:
     """Is `candidate` the only antichain of maximum size?
 
     The two extreme maximum cuts of the unit-weight flow bound the whole
-    lattice of maximum antichains; the answer is exact.
+    lattice of maximum antichains; the answer is exact, and needs neither
+    the matching nor the order closure.  `_heaviest` has proved the flow
+    minimum and checked each cut as an antichain of its value.
     """
     members = set(
         candidate.members if isinstance(candidate, AntichainWitness) else candidate
@@ -452,14 +449,9 @@ def is_unique_max_antichain(
         raise ValueError(f"candidate element ids must be integers in 0..{n - 1}")
     if not instance.is_antichain(sorted(members)):
         raise ValueError("candidate is not an antichain")
-    w, _ = width(instance, matching_budget)
-    if len(members) != w:
-        raise ValueError(f"candidate has {len(members)} members, width is {w}")
     value, from_t, from_s = _unit_extremes(instance)
-    if value != w:
-        raise InternalConsistencyError(
-            f"matching width {w} disagrees with flow width {value}"
-        )
+    if len(members) != value:
+        raise ValueError(f"candidate has {len(members)} members, width is {value}")
     if set(from_t) != set(from_s):
         return False
     if set(from_t) != members:

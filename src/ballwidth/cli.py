@@ -99,8 +99,7 @@ def _run_width(args: argparse.Namespace) -> int:
     value, witness = width(instance, args.budget)
     members: list = list(witness.members)
     if params is not None:
-        subsets = family_subsets(instance)
-        rendered = [sorted(subsets[k]) for k in members]
+        rendered = [sorted(s) for s in family_subsets(instance, members)]
     else:
         rendered = members
     payload = {

@@ -12,9 +12,11 @@ step, both at once.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .combinatorics import (
     Ball,
@@ -121,16 +123,15 @@ class PosetInstance:
     order, which the flow route reads as its cell grid and
     `family_subsets` decodes into the represented sets.  Custom posets
     have no diagram.  The order closure is the matching engine's input
-    alone, so `up_masks()` builds it on each call and nothing keeps it; the
-    width engines memoise the matching's size with its König antichain,
-    and the unit-weight extreme cuts, here.
+    alone, so `up_masks()` builds it on each call and nothing keeps it.
+    The one engine result kept here is the unit-weight extreme cuts, which
+    the flow width and uniqueness share.
     """
 
     covers: list[list[int]]  # upper-cover adjacency, by element index
     height_of: list[int]
     dag: QuotientDag | None = None
     _lower: list[list[int]] | None = field(default=None, repr=False)
-    _matching: tuple[int, list[int]] | None = field(default=None, repr=False)
     _unit_cuts: tuple[int, list[int], list[int]] | None = field(
         default=None, repr=False
     )
@@ -306,26 +307,28 @@ def _build_family(
     return PosetInstance(covers, height_of, dag)
 
 
-def family_subsets(instance: PosetInstance) -> list[frozenset[int]]:
-    """The subset of {1..p+q} that each element of a built family represents.
+def family_subsets(instance: PosetInstance, ids: Iterable[int]) -> list[frozenset[int]]:
+    """The subset of {1..p+q} that each of `ids` in a built family represents.
 
     Decodes `_build_family`'s layout: block (i, j) lists its drop masks
     times its gain masks, each ascending; dropped center bit k removes
-    k + 1 and gained far bit k adds p + k + 1.
+    k + 1 and gained far bit k adds p + k + 1.  Only the masks of blocks
+    that hold one of `ids` are listed.
     """
     dag = instance.dag
     p, q = dag.table.params.p, dag.table.params.q
+    starts = list(accumulate((dag.table.sizes[c] for c in dag.coords), initial=0))
+    masks = cache(masks_with_popcount)
     subsets: list[frozenset[int]] = []
-    for i, j in dag.coords:
-        kept = [
-            frozenset(k + 1 for k in range(p) if not m >> k & 1)
-            for m in masks_with_popcount(p, i)
-        ]
-        gained = [
-            frozenset(p + k + 1 for k in range(q) if m >> k & 1)
-            for m in masks_with_popcount(q, j)
-        ]
-        subsets += [center | far for center in kept for far in gained]
+    for x in ids:
+        if not 0 <= x < starts[-1]:
+            raise ValueError(f"element id {x} is not in 0..{starts[-1] - 1}")
+        block = bisect_right(starts, x) - 1
+        i, j = dag.coords[block]
+        d, g = divmod(x - starts[block], len(masks(q, j)))
+        drop, gain = masks(p, i)[d], masks(q, j)[g]
+        kept = [k + 1 for k in range(p) if not drop >> k & 1]
+        subsets.append(frozenset(kept + [p + k + 1 for k in range(q) if gain >> k & 1]))
     return subsets
 
 

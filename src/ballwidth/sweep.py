@@ -136,6 +136,7 @@ def _verify(
 def _check_ball(params: GroundParams, element_budget: int, matching_budget: int):
     """(dag, profile, width, unique, certificate, theorem bound ok) of a ball.
 
+    The matching, flow and sublayer-chain widths are compared here alone.
     The ball and its flows die with this call, and its closure inside the
     matching, so none is held while the top sphere is built and checked:
     a tuple peaks at its matching, not at the sum of its stages.  Past
@@ -160,7 +161,7 @@ def _check_ball(params: GroundParams, element_budget: int, matching_budget: int)
     unique: bool | None = None
     if width_value == profile.max_size and not profile.tie:
         layer = [k for k, h in enumerate(instance.height_of) if h == profile.argmax[0]]
-        unique = is_unique_max_antichain(instance, layer, matching_budget)
+        unique = is_unique_max_antichain(instance, layer)
         if unique != (grid_count == 1):
             raise InternalConsistencyError("uniqueness engines disagree")
     cert_status, bound_ok = SKIPPED, None
@@ -279,15 +280,17 @@ def sweep_range(
     and skipped, except OVER_BUDGET records made under smaller budgets,
     which are verified again and appended (the last line per tuple wins).
     Without resume, a non-empty out_path is refused with ValueError and
-    left untouched, so no run duplicates a log.  `jobs` and both budgets
-    must be at least 1; the pool never outnumbers the CPUs or the tuples
-    left to verify.  A parallel run raises a tuple's error only once the
-    others are logged.
+    left untouched, so no run duplicates a log; resume without out_path is
+    refused too.  `jobs` and both budgets must be at least 1; the pool
+    never outnumbers the CPUs or the tuples left to verify.  A parallel run
+    raises a tuple's error only once the others are logged.
     """
     budgets = {"element_budget": element_budget, "matching_budget": matching_budget}
     for name, value in {"jobs": jobs, **budgets}.items():
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    if resume and out_path is None:
+        raise ValueError("resume needs a log to read, and none was given")
     wanted = sweep_tuples(p_max, q_max, r_max, n_max, general)
     done: dict[tuple[int, int, int], SweepRecord] = {}
     path = Path(out_path) if out_path is not None else None

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -77,7 +78,7 @@ IDS = [name for name, _, _ in CORPUS]
 def independent_order(instance, params):
     """Strict-less bitmasks rebuilt without the instance's own caches."""
     if params is not None:
-        return strict_less_masks(family_subsets(instance))
+        return strict_less_masks(family_subsets(instance, range(len(instance))))
     pairs = [(x, y) for x, ups in enumerate(instance.covers) for y in ups]
     return closure_from_pairs(len(instance), pairs)
 
@@ -236,21 +237,9 @@ class TestGuards:
         assert err.value.budget == 3
         assert err.value.required == len(instance)
 
-    def test_memoised_matching_still_meets_the_budget(self):
-        instance = build_ball(GroundParams(2, 3, 2))
-        w, witness = width(instance)
-        for check in (
-            lambda: width(instance, matching_budget=3),
-            lambda: is_unique_max_antichain(instance, witness, matching_budget=3),
-        ):
-            with pytest.raises(BudgetExceededError) as err:
-                check()
-            assert (err.value.budget, err.value.required) == (3, len(instance))
-        assert width(instance) == (w, witness)
-
     def test_one_matching_and_one_closure_per_tuple(self, monkeypatch):
-        # the untied (7, 6, 3) asks width twice (directly and inside the
-        # uniqueness check): the second reads the memoised König set
+        # the untied (7, 6, 3) asks width once, in the sweep's cross-check:
+        # uniqueness reads the flow's cuts and builds no closure
         calls = {"hopcroft_karp": 0, "up_masks": 0}
         monkeypatch.setattr(
             antichains_module,
@@ -263,6 +252,29 @@ class TestGuards:
         record = verify_instance(7, 6, 3)
         assert record.status == VERIFIED_UNIQUE
         assert calls == {"hopcroft_karp": 1, "up_masks": 1}
+
+    def test_uniqueness_past_the_matching_budget_builds_no_closure(self, monkeypatch):
+        # (7, 9, 7) has 26,333 elements, above DEFAULT_MATCHING_BUDGET: the
+        # flow's two cuts decide uniqueness with no closure and no matching
+        params = GroundParams(7, 9, 7)
+        instance = build_ball(params)
+        assert len(instance) == 26333
+        calls = {"hopcroft_karp": 0, "up_masks": 0}
+        monkeypatch.setattr(
+            antichains_module,
+            "hopcroft_karp",
+            counting(calls, "hopcroft_karp", antichains_module.hopcroft_karp),
+        )
+        monkeypatch.setattr(
+            PosetInstance, "up_masks", counting(calls, "up_masks", PosetInstance.up_masks)
+        )
+        [(top, _)] = Counter(instance.height_of).most_common(1)
+        layer = [x for x, h in enumerate(instance.height_of) if h == top]
+        grid_value, grid_count = heaviest_sublayer_chain(build_table(params))
+        assert len(layer) == grid_value == 6435
+        assert is_unique_max_antichain(instance, layer) is True
+        assert grid_count == 1
+        assert calls == {"hopcroft_karp": 0, "up_masks": 0}
 
     def test_unique_candidate_validation(self):
         instance = build_ball(GroundParams(1, 2, 1))
@@ -788,7 +800,7 @@ class TestDiagramGrid:
                         for j in range(q + 1)
                     }
                     weights = []
-                    for members in family_subsets(instance):
+                    for members in family_subsets(instance, range(len(instance))):
                         i = p - sum(1 for k in members if k <= p)
                         weights.append(cell_weight[i, len(members) - (p - i)])
                     read.clear()

@@ -253,6 +253,10 @@ class TestSweep:
         assert rc == 2 and out == "" and "already holds a sweep log" in err
         assert log.read_bytes() == before
 
+    def test_resume_without_out_is_bad_usage(self, capsys):
+        rc, out, err = run(["sweep", "--p-max", "1", "--q-max", "1", "--resume"], capsys)
+        assert rc == 2 and out == "" and "resume needs a log" in err
+
     def test_parallel_jobs(self, capsys):
         rc, serial, _ = run(["sweep", "--p-max", "2", "--q-max", "2", "--format", "csv"], capsys)
         rc2, parallel, _ = run(["sweep", "--p-max", "2", "--q-max", "2", "--format", "csv", "--jobs", "2"], capsys)

@@ -51,7 +51,8 @@ class TestElements:
         # B_2[3,4] in its block layout: blocks by height, then (i, j); each
         # block its drop masks times its gain masks, ascending.  A dropped
         # center bit k removes k + 1, a gained far bit k adds p + k + 1
-        subsets = [sorted(s) for s in family_subsets(build_ball(GroundParams(3, 4, 2)))]
+        ball = build_ball(GroundParams(3, 4, 2))
+        subsets = [sorted(s) for s in family_subsets(ball, range(len(ball)))]
         assert subsets[:8] == [
             [3], [2], [1],  # (2, 0): drop 011, 101, 110
             [2, 3], [1, 3], [1, 2],  # (1, 0)
@@ -81,7 +82,7 @@ class TestBuildBall:
         inst = build_ball(GroundParams(1, 2, 1))
         assert inst.covers == [[1], [2, 3], [], []]
         assert inst.height_of == [0, 1, 2, 2]
-        assert family_subsets(inst) == [
+        assert family_subsets(inst, range(len(inst))) == [
             frozenset(), frozenset({1}), frozenset({1, 2}), frozenset({1, 3}),
         ]
 
@@ -90,7 +91,7 @@ class TestBuildBall:
         params = GroundParams(p, q, r)
         inst = build_ball(params)
         want = enumerate_family_subsets(p, q, lambda i, j: i + j <= r)
-        assert set(family_subsets(inst)) == want
+        assert set(family_subsets(inst, range(len(inst)))) == want
         assert len(inst) == build_table(params).total
 
     @pytest.mark.parametrize(
@@ -106,7 +107,7 @@ class TestBuildBall:
         # radius, and (3, 0, 2) has no far side
         params = GroundParams(p, q, r)
         inst = build_sphere(params, r) if sphere else build_ball(params)
-        lt = strict_less_masks(family_subsets(inst))
+        lt = strict_less_masks(family_subsets(inst, range(len(inst))))
         assert inst.height_of == brute_heights(lt)
         assert inst.covers == brute_covers(lt)
 
@@ -127,7 +128,7 @@ class TestBuildBall:
                                 sum(1 << k for k in range(p) if k + 1 not in s),
                                 sum(1 << k for k in range(q) if p + k + 1 in s),
                             ]
-                            for s in family_subsets(inst)
+                            for s in family_subsets(inst, range(len(inst)))
                         ]
                         layout = [masks, inst.covers, inst.height_of, sublayers(inst)]
                         digest.update(json.dumps(layout).encode())
@@ -140,7 +141,7 @@ class TestBuildBall:
     def test_heights_closed_form_in_regime(self):
         params = GroundParams(3, 3, 2)
         inst = build_ball(params)
-        for s, h in zip(family_subsets(inst), inst.height_of):
+        for s, h in zip(family_subsets(inst, range(len(inst))), inst.height_of):
             kept = sum(1 for k in s if k <= params.p)
             i, j = params.p - kept, len(s) - kept
             assert h == params.r - i + j
@@ -155,8 +156,17 @@ class TestBuildBall:
     def test_deterministic_rebuild(self):
         a = build_ball(GroundParams(3, 4, 2))
         b = build_ball(GroundParams(3, 4, 2))
-        assert family_subsets(a) == family_subsets(b)
+        assert family_subsets(a, range(len(a))) == family_subsets(b, range(len(b)))
         assert a.covers == b.covers and a.height_of == b.height_of
+
+    def test_decodes_the_given_ids_in_their_order(self):
+        ball = build_ball(GroundParams(3, 4, 2))
+        every = family_subsets(ball, range(len(ball)))
+        ids = [len(ball) - 1, 0, 7, 7, 3]
+        assert family_subsets(ball, ids) == [every[x] for x in ids]
+        for bad in (-1, len(ball)):
+            with pytest.raises(ValueError, match="element id"):
+                family_subsets(ball, [bad])
 
 
 class TestBuildSphereAndBand:
@@ -164,9 +174,9 @@ class TestBuildSphereAndBand:
         params = GroundParams(2, 3, 2)
         inst = build_sphere(params, 2)
         want = enumerate_family_subsets(2, 3, lambda i, j: i + j == 2)
-        assert set(family_subsets(inst)) == want
+        assert set(family_subsets(inst, range(len(inst)))) == want
         # on a sphere the height is the number of gained elements
-        for s, h in zip(family_subsets(inst), inst.height_of):
+        for s, h in zip(family_subsets(inst, range(len(inst))), inst.height_of):
             assert h == sum(1 for k in s if k > params.p)
 
 
@@ -174,7 +184,7 @@ class TestPosetInstance:
     def test_up_masks_are_strict_containment(self):
         params = GroundParams(2, 3, 2)
         inst = build_ball(params)
-        subs = family_subsets(inst)
+        subs = family_subsets(inst, range(len(inst)))
         assert inst.up_masks() == top_first(strict_less_masks(subs), len(subs))
 
     def test_lower_covers_transpose(self):
@@ -195,7 +205,7 @@ class TestPosetInstance:
     def test_is_antichain_matches_the_closure(self, pqr, sphere, data):
         params = GroundParams(*pqr)
         inst = build_sphere(params, params.r) if sphere else build_ball(params)
-        lt = strict_less_masks(family_subsets(inst))
+        lt = strict_less_masks(family_subsets(inst, range(len(inst))))
         members = data.draw(st.lists(st.integers(0, len(inst) - 1), max_size=6))
         assert inst.is_antichain(members) == is_antichain_by_closure(lt, members)
 

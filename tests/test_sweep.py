@@ -223,6 +223,11 @@ class TestSweepRange:
         assert path.read_bytes() == before
         assert len(before.splitlines()) == 5
 
+    def test_resume_without_a_log_is_refused(self):
+        # nothing to resume: the run would silently start afresh
+        with pytest.raises(ValueError, match="resume needs a log"):
+            sweep_range(1, 1, resume=True)
+
     def test_empty_log_needs_no_resume(self, tmp_path):
         path = tmp_path / "records.jsonl"
         path.write_text("")
@@ -408,6 +413,18 @@ class TestPlantedDisagreement:
             "heaviest_sublayer_chain",
             lambda t: (genuine(t)[0] + 1, genuine(t)[1]),
         )
+        self.check()
+
+    @pytest.mark.parametrize("name", ["width", "flow_width"])
+    def test_element_width(self, sweep_module, monkeypatch, name):
+        # the sweep's cross-check is the one place these widths are compared
+        genuine = getattr(sweep_module, name)
+
+        def planted(*args):
+            value, witness = genuine(*args)
+            return value + 1, witness
+
+        monkeypatch.setattr(sweep_module, name, planted)
         self.check()
 
     def test_cut_uniqueness(self, sweep_module, monkeypatch):
