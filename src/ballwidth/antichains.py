@@ -77,7 +77,7 @@ def width(
 
 
 def _chain_start(
-    instance: PosetInstance, weights: list[int]
+    instance: PosetInstance, weights: list[int], lowers: list[list[int]]
 ) -> tuple[list[int], list[list[int]]]:
     """A feasible flow along first-cover chains, in `_min_flow`'s start form.
 
@@ -87,7 +87,6 @@ def _chain_start(
     value is the largest weight, so the start is minimum.
     """
     covers = instance.covers
-    lowers = instance.lower_covers()
     order = sorted(range(len(instance)), key=instance.height_of.__getitem__)
     inflow = [0] * len(instance)
     passed = [0] * len(instance)
@@ -115,6 +114,7 @@ def _residual_sides(
     weights: list[int],
     through: list[int],
     cover_flow: list[list[int]],
+    lowers: list[list[int]],
 ) -> tuple[list[int], list[int]] | None:
     """(from_t, from_s): the two cuts of a minimum flow; None if t reaches s.
 
@@ -126,10 +126,11 @@ def _residual_sides(
     the weight, other reverse arcs iff they carry flow.  Each side is a
     stack walk over the covers; the t-side walk gives up as soon as it
     reaches s.  A cut holds the elements of positive weight whose out node
-    (from_t) or in node (from_s) alone is on its side.
+    (from_t) or in node (from_s) alone is on its side.  `lowers` is
+    `instance.lower_covers()`, which `_min_flow` builds once per min-flow.
     """
     n = len(instance)
-    covers, lowers = instance.covers, instance.lower_covers()
+    covers = instance.covers
     if len(through) != n or len(cover_flow) != n:
         raise InternalConsistencyError(f"starting flow is not over {n} elements")
     row = None
@@ -232,9 +233,9 @@ def _min_flow(
     n = len(instance)
     covers, lowers = instance.covers, instance.lower_covers()
     s, t = 2 * n, 2 * n + 1
-    through, cover_flow = start if start is not None else _chain_start(instance, weights)
+    through, cover_flow = start if start is not None else _chain_start(instance, weights, lowers)
     del start
-    cuts = _residual_sides(instance, weights, through, cover_flow)
+    cuts = _residual_sides(instance, weights, through, cover_flow, lowers)
     total = sum(f for x, f in enumerate(through) if not lowers[x])
     if cuts is not None:
         return total, cuts, (through, cover_flow)
@@ -261,7 +262,7 @@ def _min_flow(
     # slot 2x is element x's pair, which carries its throughput above its weight
     through = [w + net.flow_on(2 * x) for x, w in enumerate(weights)]
     cover_flow = [[net.flow_on(e) for e in row] for row in slots]
-    cuts = _residual_sides(instance, weights, through, cover_flow)
+    cuts = _residual_sides(instance, weights, through, cover_flow, lowers)
     if cuts is None:
         raise InternalConsistencyError("the cancelled flow is not minimum")
     return value, cuts, (through, cover_flow)

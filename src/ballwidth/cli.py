@@ -40,7 +40,6 @@ from .reports import (
     emit_sweep_json,
     emit_sweep_text,
     emit_table_csv,
-    emit_table_json,
     emit_table_text,
     emit_table_tikz,
     table_report,
@@ -53,6 +52,14 @@ def _write(document: str, out: str | None) -> None:
         sys.stdout.write(document)
     else:
         Path(out).write_text(document)
+
+
+def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+    """A run's document: its payload as JSON, else its text lines."""
+    if args.format == "json":
+        _write(emit_json(payload), args.out)
+    else:
+        _write("\n".join(lines) + "\n", args.out)
 
 
 def _params(args: argparse.Namespace) -> GroundParams:
@@ -86,7 +93,7 @@ def _run_table(args: argparse.Namespace) -> int:
     report = table_report(_params(args))
     emitters = {
         "csv": emit_table_csv,
-        "json": emit_table_json,
+        "json": emit_json,
         "text": emit_table_text,
         "tikz": emit_table_tikz,
     }
@@ -109,15 +116,12 @@ def _run_width(args: argparse.Namespace) -> int:
     }
     if params is not None:
         payload = {"p": params.p, "q": params.q, "r": params.r, **payload}
-    if args.format == "json":
-        _write(emit_json(payload), args.out)
-    else:
-        lines = [f"width {value} over {len(instance)} elements"]
-        for entry in rendered[:12]:  # a subset as a set, a custom poset's id as it is
-            lines.append(f"  {entry if params is None else (set(entry) or '{}')}")
-        if len(rendered) > 12:
-            lines.append(f"  ... {len(rendered) - 12} more")
-        _write("\n".join(lines) + "\n", args.out)
+    lines = [f"width {value} over {len(instance)} elements"]
+    for entry in rendered[:12]:  # a subset as a set, a custom poset's id as it is
+        lines.append(f"  {entry if params is None else (set(entry) or '{}')}")
+    if len(rendered) > 12:
+        lines.append(f"  ... {len(rendered) - 12} more")
+    _emit(args, payload, lines)
     return 0
 
 
@@ -132,15 +136,8 @@ def _run_klym(args: argparse.Namespace) -> int:
     }
     if params is not None:
         payload = {"p": params.p, "q": params.q, "sphere": params.r, **payload}
-    if args.format == "json":
-        _write(emit_json(payload), args.out)
-    else:
-        state = "holds" if verdict.holds else "FAILS"
-        _write(
-            f"normalized antichain bound {state}: "
-            f"max sum {verdict.max_lym_sum}\n",
-            args.out,
-        )
+    state = "holds" if verdict.holds else "FAILS"
+    _emit(args, payload, [f"normalized antichain bound {state}: max sum {verdict.max_lym_sum}"])
     return 0
 
 
@@ -159,10 +156,12 @@ def _run_certify(args: argparse.Namespace) -> int:
         "status": verdict.status,
         "diagnostics": verdict.diagnostics,
     }
+    lines = [f"{verdict.status}: {verdict.diagnostics}"]
     if layer_size is not None:
         payload["largest_layer_size"] = str(layer_size)
     if verdict.certificate is not None:
         cert = verdict.certificate
+        lines.append(f"target height {cert.target_height}, {len(cert.profiles)} profiles")
         payload["target_height"] = cert.target_height
         payload["coverage"] = [
             {"i": c[0], "j": c[1], "count": str(n)}
@@ -172,16 +171,7 @@ def _run_certify(args: argparse.Namespace) -> int:
             {"path": [[i, j] for i, j in profile], "count": str(mult)}
             for profile, mult in cert.profiles
         ]
-    if args.format == "json":
-        _write(emit_json(payload), args.out)
-    else:
-        lines = [f"{verdict.status}: {verdict.diagnostics}"]
-        if verdict.certificate is not None:
-            lines.append(
-                f"target height {verdict.certificate.target_height}, "
-                f"{len(verdict.certificate.profiles)} profiles"
-            )
-        _write("\n".join(lines) + "\n", args.out)
+    _emit(args, payload, lines)
     return 0 if verdict.status in (CERTIFIED, CERTIFIED_STRICT) else 4
 
 
@@ -213,36 +203,26 @@ def _run_chains(args: argparse.Namespace) -> int:
         [sorted(k + 1 for k in range(args.n) if mask >> k & 1) for mask in chain]
         for chain in chains
     ]
-    if args.format == "json":
-        _write(emit_json({"n": args.n, "count": len(chains), "chains": as_sets}), args.out)
-    elif args.format == "csv":
+    if args.format == "csv":
         lines = ["chain,step,subset"]
         for cid, chain in enumerate(as_sets):
             for step, subset in enumerate(chain):
                 lines.append(f"{cid},{step},{' '.join(map(str, subset))}")
-        _write("\n".join(lines) + "\n", args.out)
     else:
         lines = [f"{len(chains)} symmetric chains over {{1..{args.n}}}"]
         for chain in as_sets:
             lines.append(
                 "  " + " < ".join("{" + ",".join(map(str, s)) + "}" for s in chain)
             )
-        _write("\n".join(lines) + "\n", args.out)
+    _emit(args, {"n": args.n, "count": len(chains), "chains": as_sets}, lines)
     return 0
 
 
 def _run_theorem(args: argparse.Namespace) -> int:
     params = _params(args)
     bound = theorem_bound(params)
-    if args.format == "json":
-        _write(
-            emit_json(
-                {"p": params.p, "q": params.q, "r": params.r, "bound": str(bound)}
-            ),
-            args.out,
-        )
-    else:
-        _write(f"width bound for p={params.p} q={params.q} r={params.r}: {bound}\n", args.out)
+    payload = {"p": params.p, "q": params.q, "r": params.r, "bound": str(bound)}
+    _emit(args, payload, [f"width bound for p={params.p} q={params.q} r={params.r}: {bound}"])
     return 0
 
 
@@ -336,10 +316,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except (ValueError, CustomPosetError, BudgetExceededError, GradedQuotientError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (
+        ValueError, CustomPosetError, BudgetExceededError, GradedQuotientError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -131,7 +131,6 @@ class PosetInstance:
     covers: list[list[int]]  # upper-cover adjacency, by element index
     height_of: list[int]
     dag: QuotientDag | None = None
-    _lower: list[list[int]] | None = field(default=None, repr=False)
     _unit_cuts: tuple[int, list[int], list[int]] | None = field(
         default=None, repr=False
     )
@@ -158,13 +157,12 @@ class PosetInstance:
         return up
 
     def lower_covers(self) -> list[list[int]]:
-        if self._lower is None:
-            lower: list[list[int]] = [[] for _ in self.covers]
-            for x, ys in enumerate(self.covers):
-                for y in ys:
-                    lower[y].append(x)
-            self._lower = lower
-        return self._lower
+        """The covers transposed, built on each call and kept nowhere."""
+        lower: list[list[int]] = [[] for _ in self.covers]
+        for x, ys in enumerate(self.covers):
+            for y in ys:
+                lower[y].append(x)
+        return lower
 
     def is_antichain(self, members: list[int]) -> bool:
         """No member lies above another, searched breadth-first up the covers."""

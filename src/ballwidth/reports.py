@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .combinatorics import Ball, GroundParams, layer_profile
+from .combinatorics import Ball, GroundParams, layer_profile, profile_from_sizes
 from .poset import quotient_dag
 
 SWEEP_COLUMNS = [
@@ -31,6 +31,19 @@ SWEEP_COLUMNS = [
 
 # the benchmark's tracer still measures the layer profile under this name
 ball_profile = layer_profile
+
+
+def emit_json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _aligned(names: list[str], rows: list[list[str]]) -> list[str]:
+    """A header and its rows as right-justified columns, two spaces apart."""
+    widths = [max([len(k), *(len(row[c]) for row in rows)]) for c, k in enumerate(names)]
+    lines = []
+    for row in [names, *rows]:
+        lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
+    return lines
 
 
 def table_report(params: GroundParams) -> dict:
@@ -64,10 +77,6 @@ def emit_table_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_table_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
-
-
 def emit_table_text(report: dict) -> str:
     head = (
         f"ball p={report['p']} q={report['q']} r={report['r']}: "
@@ -76,24 +85,9 @@ def emit_table_text(report: dict) -> str:
     )
     if report["tie"]:
         head += " (tied)"
-    widths = [
-        max(len(str(row[k])) for row in report["rows"] + [{k: k}])
-        for k in ("i", "j", "size", "height")
-    ]
-    lines = [head, ""]
-    lines.append(
-        "  ".join(
-            k.rjust(w) for k, w in zip(("i", "j", "size", "height"), widths)
-        )
-    )
-    for row in report["rows"]:
-        lines.append(
-            "  ".join(
-                str(row[k]).rjust(w)
-                for k, w in zip(("i", "j", "size", "height"), widths)
-            )
-        )
-    return "\n".join(lines) + "\n"
+    names = ["i", "j", "size", "height"]
+    rows = [[str(row[k]) for k in names] for row in report["rows"]]
+    return "\n".join([head, "", *_aligned(names, rows)]) + "\n"
 
 
 def emit_table_tikz(report: dict) -> str:
@@ -103,35 +97,22 @@ def emit_table_tikz(report: dict) -> str:
     (every tied height) is set in red.
     """
     rows = report["rows"]
-    argmax = {report["largest_layer_height"]}
-    if report["tie"]:
-        by_height: dict[int, int] = {}
-        for row in rows:
-            by_height[row["height"]] = by_height.get(row["height"], 0) + int(
-                row["size"]
-            )
-        best = max(by_height.values())
-        argmax = {h for h, v in by_height.items() if v == best}
-    lines = [r"\begin{tikzpicture}[x=1.1cm, y=0.9cm]"]
-    by_i: dict[int, list[tuple[int, int]]] = {}
-    by_j: dict[int, list[tuple[int, int]]] = {}
+    by_height: dict[int, int] = {}
     for row in rows:
-        by_i.setdefault(row["i"], []).append((row["i"], row["j"]))
-        by_j.setdefault(row["j"], []).append((row["i"], row["j"]))
-    for i in sorted(by_i):
-        pts = sorted(by_i[i])
-        if len(pts) > 1:
-            (_, j0), (_, j1) = pts[0], pts[-1]
-            lines.append(
-                f"  \\draw[dotted] ({i + j0},{j0 - i}) -- ({i + j1},{j1 - i});"
-            )
-    for j in sorted(by_j):
-        pts = sorted(by_j[j])
-        if len(pts) > 1:
-            (i0, _), (i1, _) = pts[0], pts[-1]
-            lines.append(
-                f"  \\draw[dotted] ({i0 + j},{j - i0}) -- ({i1 + j},{j - i1});"
-            )
+        by_height[row["height"]] = by_height.get(row["height"], 0) + int(row["size"])
+    argmax = set(profile_from_sizes(by_height).argmax)
+    lines = [r"\begin{tikzpicture}[x=1.1cm, y=0.9cm]"]
+    for axis in (0, 1):  # the guides of constant i, then of constant j
+        guides: dict[int, list[tuple[int, int]]] = {}
+        for row in rows:
+            cell = (row["i"], row["j"])
+            guides.setdefault(cell[axis], []).append(cell)
+        for key in sorted(guides):
+            if len(guides[key]) > 1:
+                (i0, j0), (i1, j1) = min(guides[key]), max(guides[key])
+                lines.append(
+                    f"  \\draw[dotted] ({i0 + j0},{j0 - i0}) -- ({i1 + j1},{j1 - i1});"
+                )
     for row in sorted(rows, key=lambda r: (r["i"] + r["j"], r["j"] - r["i"])):
         x, y = row["i"] + row["j"], row["j"] - row["i"]
         style = "[red] " if row["height"] in argmax else ""
@@ -171,25 +152,15 @@ def emit_sweep_json(records) -> str:
         "records": [record_row(r) for r in records],
         "summary": {"total": len(records), "by_status": status_tally(records)},
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return emit_json(payload)
 
 
 def emit_sweep_text(records) -> str:
     rows = [[_cell(record_row(r)[k]) for k in SWEEP_COLUMNS] for r in records]
-    widths = [
-        max(len(k), *(len(row[c]) for row in rows)) if rows else len(k)
-        for c, k in enumerate(SWEEP_COLUMNS)
-    ]
-    lines = ["  ".join(k.rjust(w) for k, w in zip(SWEEP_COLUMNS, widths))]
-    for row in rows:
-        lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
+    lines = _aligned(SWEEP_COLUMNS, rows)
     lines.append("")
     lines.append(
         ", ".join(f"{k}: {v}" for k, v in status_tally(records).items())
         or "no records"
     )
     return "\n".join(lines) + "\n"
-
-
-def emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"

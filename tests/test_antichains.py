@@ -472,9 +472,10 @@ class TestLevelPairStart:
     def test_chain_start_off_by_one_raises(self):
         instance = build_ball(GroundParams(2, 3, 2))
         weights = [1] * len(instance)
-        through, cover_flow = antichains_module._chain_start(instance, weights)
-        y = next(y for y, xs in enumerate(instance.lower_covers()) if xs)
-        x = instance.lower_covers()[y][0]
+        lowers = instance.lower_covers()
+        through, cover_flow = antichains_module._chain_start(instance, weights, lowers)
+        y = next(y for y, xs in enumerate(lowers) if xs)
+        x = lowers[y][0]
         k = instance.covers[x].index(y)
         cover_flow[x][k] -= 1
         with pytest.raises(InternalConsistencyError):
@@ -495,10 +496,10 @@ def network_route(fn, instance):
         starts.append(start[0])
         return start
 
-    def read(instance, weights, through, cover_flow):
+    def read(instance, weights, through, cover_flow, lowers):
         if any(through is start for start in starts):
             return None
-        return real_read(instance, weights, through, cover_flow)
+        return real_read(instance, weights, through, cover_flow, lowers)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(antichains_module, "_grid_start", lambda *args: None)
@@ -556,8 +557,9 @@ class TestGridStart:
         weights = [1] * len(instance)
         weights[1] = 2  # sublayer (1, 0) holds elements 1 and 2: no lift
         assert antichains_module._grid_start(instance, weights) is None
-        start = antichains_module._chain_start(instance, weights)
-        assert antichains_module._residual_sides(instance, weights, *start) is None
+        lowers = instance.lower_covers()
+        start = antichains_module._chain_start(instance, weights, lowers)
+        assert antichains_module._residual_sides(instance, weights, *start, lowers) is None
         calls = []
         real_max_flow = FlowNetwork.max_flow
 
@@ -602,8 +604,10 @@ class TestGridStart:
         value, cuts, final = network_route(lambda i: min_flow(i, weights), instance)
         # the cancelled flow is minimum: the direct read, the reference read
         # on the network holding it and _min_flow's cuts all agree
-        assert read(instance, weights, *final) == network_cuts(instance, weights, *final) == cuts
-        chain = read(instance, weights, *antichains_module._chain_start(instance, weights))
+        lowers = instance.lower_covers()
+        assert read(instance, weights, *final, lowers) == network_cuts(instance, weights, *final) == cuts
+        start = antichains_module._chain_start(instance, weights, lowers)
+        chain = read(instance, weights, *start, lowers)
         assert chain is None or chain == cuts
         assert min_flow(instance, weights)[:2] == (value, cuts)
 
@@ -661,8 +665,9 @@ class TestGridStart:
         chain = load_custom_poset(
             {"elements": n, "relations": [[x, x + 1] for x in range(n - 1)]}
         )
-        start = antichains_module._chain_start(chain, weights)
-        assert antichains_module._residual_sides(chain, weights, *start) is not None
+        lowers = chain.lower_covers()
+        start = antichains_module._chain_start(chain, weights, lowers)
+        assert antichains_module._residual_sides(chain, weights, *start, lowers) is not None
         assert start[0][0] == max(weights)  # all of it leaves the bottom element
         assert antichains_module._min_flow(chain, weights)[0] == max(weights)
 

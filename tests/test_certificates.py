@@ -86,6 +86,14 @@ class TestCertificateCheck:
         )
         assert not certificate_check(short, dag)
 
+    def test_profile_must_end_at_the_sink(self, tiny):
+        dag = tiny
+        # from the source (1, 0), but it stops at (0, 0), short of the sink
+        stops = Certificate(
+            ((((1, 0), (0, 0)), 2),), {(1, 0): 2, (0, 0): 2}, 2
+        )
+        assert not certificate_check(stops, dag)
+
     def test_profile_steps_must_be_edges(self, tiny):
         dag = tiny
         jump = Certificate(

@@ -28,14 +28,6 @@ class TestTable:
         got = {(int(r["i"]), int(r["j"])): int(r["size"]) for r in rows}
         assert got[(2, 2)] == 280 and got[(0, 4)] == 70 and len(got) == 15
 
-    def test_out_file_matches_stdout(self, capsys, tmp_path):
-        rc, out, _ = run(["table", "-p", "3", "-q", "3", "-r", "2", "--format", "json"], capsys)
-        target = tmp_path / "table.json"
-        rc2 = main(["table", "-p", "3", "-q", "3", "-r", "2", "--format", "json", "--out", str(target)])
-        capsys.readouterr()
-        assert rc == rc2 == 0
-        assert target.read_text() == out
-
     def test_text_head_line(self, capsys):
         rc, out, _ = run(["table", "-p", "1", "-q", "1", "-r", "1"], capsys)
         assert rc == 0
@@ -407,33 +399,249 @@ class TestModuleEntry:
         assert done.stdout == expected != ""
 
 
-# sha256 of the canonical documents, pinned so a refactor keeps them byte-identical
+# sha256 and exit code of the canonical documents, pinned so a refactor keeps
+# them byte-identical; {poset} names a file holding CUSTOM_POSET
 GOLDEN = [
     (
+        "table -p 5 -q 8 -r 4 --format json",
+        0,
+        "9ed7366d01e0eaf70b360918dea0f6caf8368bdad230cd39270d9c9a4c918761",
+    ),
+    # a tie between heights 0 and 2
+    (
+        "table -p 2 -q 2 -r 1 --format csv",
+        0,
+        "2c29ab0b3a44ca86cb91094129a263405a296fd0e3d4f9a1fc2878d14794ae4c",
+    ),
+    (
+        "table -p 2 -q 2 -r 1 --format json",
+        0,
+        "ccae21ef6e62ab88a713883d4fa11891bcfa489e404b66361774af6899f41d4d",
+    ),
+    (
+        "table -p 2 -q 2 -r 1 --format tikz",
+        0,
+        "44c5c8997206d76d8bd0a4423bf6936f9ad62aec86ec96661f46da2f9cbdd164",
+    ),
+    (
+        "table -p 2 -q 2 -r 1 --format text",
+        0,
+        "06a2a14a0a040c9869a7eda57b5f64ff6fabc629d07a3c0f0f7e213d6babf79f",
+    ),
+    # r > min(p, q): a truncated ball
+    (
+        "table -p 6 -q 3 -r 5 --format csv",
+        0,
+        "7ee7b82d5eaf90e422e22162c27e805978dc273fee5568a9b684faceab9657ee",
+    ),
+    (
+        "table -p 6 -q 3 -r 5 --format json",
+        0,
+        "880691245fcd0eebc16b1f6cd6659adfdced61611d0f82353d0dd60fa4a6eb0b",
+    ),
+    (
+        "table -p 6 -q 3 -r 5 --format tikz",
+        0,
+        "b06c9d186b4e3131c731167ec592140f751da2e06ea7f86713ba571878edbfac",
+    ),
+    (
+        "table -p 6 -q 3 -r 5 --format text",
+        0,
+        "d7d61c465c0f43b0c05beee1c5c9a772cffd228477a3795ebf826a49774f9d2c",
+    ),
+    # a witness of 17 members, 12 of them printed as text
+    (
+        "width -p 4 -q 4 -r 2 --format json",
+        0,
+        "be7f7db7b31d1099cb60bc60e9f219af0662aebed946d7b7a8d31b5d6f73098e",
+    ),
+    (
+        "width -p 4 -q 4 -r 2 --format text",
+        0,
+        "437252b5b9c9df5c29883d7e7a3a73964a56f3de14f75f88bfbc93f49cf9febf",
+    ),
+    (
+        "width --custom-poset {poset} --format json",
+        0,
+        "86f1ae16021b3a1c0242a4f7793009f8b2b57dfa8f6e79426a0ddeb30fce72bb",
+    ),
+    (
+        "width --custom-poset {poset} --format text",
+        0,
+        "bdb86d987e82ea0cbed1ca2874150ca1e5b72d3b9fd66825c24b21a147a48eb0",
+    ),
+    (
+        "klym -p 4 -q 5 -r 3 --format json",
+        0,
+        "d5c1066c10e8cce532e1ada58b89f80fe0aacd15e800cc3795a5a1bcbe398a1f",
+    ),
+    (
+        "klym -p 3 -q 3 -r 2 --format text",
+        0,
+        "b91fc0d176f4262d361ed207b9e9b90975d505bd3487363ed1cf77b20ebd7290",
+    ),
+    (
+        "klym --custom-poset {poset} --format json",
+        0,
+        "bcfc348705c5d46125938343e832e35da356d309f0e9b9715668885a77a0c658",
+    ),
+    (
+        "klym --custom-poset {poset} --format text",
+        0,
+        "c51e4b2eb70c2d2384bdcaa5cc03e904f7c31c1dfb45ee7521e6b414c7a01daa",
+    ),
+    # a granted certificate in both formats, by both methods
+    (
+        "certify -p 5 -q 8 -r 4 --format json",
+        0,
+        "fd018d453ff5d1903e20cb7a197520a352e137a9ac773d9bb1bb8d40874ff13f",
+    ),
+    (
+        "certify -p 5 -q 8 -r 4 --format text",
+        0,
+        "eaa3bd3996960caba59de509e7a3f381947a45fe178f9af6e2a00d47e3532ed2",
+    ),
+    (
+        "certify -p 5 -q 8 -r 4 --strict --format json",
+        0,
+        "9578a555f87168936fbd493b3808d877655d9d5a0e0001794768578a9d5693fa",
+    ),
+    (
+        "certify -p 5 -q 8 -r 4 --strict --format text",
+        0,
+        "7c020dd3808665d2fb0e314cfd0d69869a62ea2ece65f64b0edd98f4a93d9174",
+    ),
+    (
+        "certify -p 5 -q 8 -r 4 --method zigzag --format json",
+        0,
+        "24dc99398f59a579f2d87e986f3428b8ae59ba22fe2ee5f1b6e710c7a8e57910",
+    ),
+    (
+        "certify -p 5 -q 8 -r 4 --method zigzag --format text",
+        0,
+        "1d30ce3f55eeeeedf765f04f9357f57a95bdcf774bd4812b90d8ecab67858add",
+    ),
+    # refused: a tied largest layer, and a zigzag routing that fails
+    (
+        "certify -p 2 -q 2 -r 1 --format json",
+        4,
+        "3a6f05ac8d42a4dc5b650069df05c4ebc9c249ee8900874f1abd5325bfda8cc2",
+    ),
+    (
+        "certify -p 2 -q 2 -r 1 --format text",
+        4,
+        "0ce829fce6a9c67e96e385671163450e23e84a08c465406bff2f618871d1bae1",
+    ),
+    (
+        "certify -p 6 -q 2 -r 2 --method zigzag --format json",
+        4,
+        "8afd2d808b45258908abe2151163eb65b3ab1b621dcfc5a733727fcdec1b29ce",
+    ),
+    (
+        "certify -p 6 -q 2 -r 2 --method zigzag --format text",
+        4,
+        "1bd7eb246665aba4d427aeaa44cb034eb53def4b5d29a05c3f883f2ed06510e6",
+    ),
+    (
+        "chains -n 0 --format csv",
+        0,
+        "9deb6c9999180b6b4af328c66bb834ad1230706a7037542af486aa67c7b4dbb9",
+    ),
+    (
+        "chains -n 0 --format json",
+        0,
+        "f455d10e57a2da8675cf0c789d06881e9c0981cd68bcae7a9b2a25d2b1900964",
+    ),
+    (
+        "chains -n 0 --format text",
+        0,
+        "6a47cf2dc1c10c48deb40061f92bd9396ab52ce3b84d34b207780a6367e4063c",
+    ),
+    (
+        "chains -n 4 --format csv",
+        0,
+        "c1b02efa4610d92370d0c34dc79ce736069342d3aeb76e33ebc2d0ecbd2fa7d5",
+    ),
+    (
+        "chains -n 4 --format json",
+        0,
+        "d0b671a2d87214565354247dacc20feb466fefbd662cb75c109cf685ca7f8581",
+    ),
+    (
+        "chains -n 4 --format text",
+        0,
+        "b9b44a280ab2b3c1d68b7c66c855aa93ea370b06278c77f4a4310181ffb52a84",
+    ),
+    (
+        "theorem -p 5 -q 8 -r 4 --format json",
+        0,
+        "d8d3353b88f351a13fbe96dfc7427c77d2744d1fc07516ea56dbea2213f213f5",
+    ),
+    (
+        "theorem -p 5 -q 8 -r 4 --format text",
+        0,
+        "9ee2edfa13a66409edca1e76c84bb36e449d1879678058244581087b46f18488",
+    ),
+    (
+        "sweep --p-max 3 --q-max 3 --format csv",
+        0,
+        "ab425cdc06d23234480d23217ab6495b7d3657abd97ba232ae1b93f823a7a914",
+    ),
+    (
         "sweep --p-max 6 --q-max 6 --format json",
+        0,
         "70774ce2ccd7a01829afca9ee9e31fabe7715c67daf47f70dc9d55d086c1c648",
     ),
     (
         "sweep --p-max 6 --q-max 6 --format text",
+        0,
         "f04a9e217cf0305b7a4e964b42c2c9ed23b013d5e06a107c8db94700dae78676",
     ),
+    # radii beyond min(p, q)
     (
-        "table -p 5 -q 8 -r 4 --format json",
-        "9ed7366d01e0eaf70b360918dea0f6caf8368bdad230cd39270d9c9a4c918761",
+        "sweep --p-max 3 --q-max 3 --general --format csv",
+        0,
+        "a2498ca9d60b60af4cefd338fa0662e2d46083b64da4a59e7de22169c4b676fc",
     ),
     (
-        "certify -p 5 -q 8 -r 4 --strict --format json",
-        "9578a555f87168936fbd493b3808d877655d9d5a0e0001794768578a9d5693fa",
+        "sweep --p-max 3 --q-max 3 --general --format json",
+        0,
+        "7152fe45ec12b9252a6550d99b63114d4bae2b0698f0f3ab3f714c361201d566",
     ),
     (
-        "klym -p 4 -q 5 -r 3 --format json",
-        "d5c1066c10e8cce532e1ada58b89f80fe0aacd15e800cc3795a5a1bcbe398a1f",
+        "sweep --p-max 3 --q-max 3 --general --format text",
+        0,
+        "9e737affa612732938aeed3b55bee066adc8ad0e372964d9affe6fc3af318f1b",
     ),
 ]
+CUSTOM_POSET = {"elements": 6, "relations": [[0, 2], [1, 2], [2, 3], [2, 4], [4, 5]]}
 
 
-@pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
-def test_golden_digest(command, digest, capsys):
-    rc, out, err = run(command.split(), capsys)
-    assert rc == 0 and err == ""
+@pytest.mark.parametrize("command,code,digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_golden_digest(command, code, digest, capsys, tmp_path):
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps(CUSTOM_POSET))
+    rc, out, err = run(command.replace("{poset}", str(poset)).split(), capsys)
+    assert rc == code and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# every command whose --out takes its document; sweep's --out is its record log
+@pytest.mark.parametrize(
+    "command",
+    [
+        "table -p 3 -q 3 -r 2 --format json",
+        "width -p 2 -q 3 -r 2",
+        "klym -p 2 -q 3 -r 2 --format json",
+        "certify -p 5 -q 8 -r 4",
+        "certify -p 2 -q 2 -r 1 --format json",
+        "chains -n 3 --format csv",
+        "theorem -p 5 -q 8 -r 4",
+    ],
+)
+def test_out_file_matches_stdout(command, capsys, tmp_path):
+    rc, out, _ = run(command.split(), capsys)
+    target = tmp_path / "document"
+    rc2, written, err = run([*command.split(), "--out", str(target)], capsys)
+    assert rc == rc2 and written == err == ""
+    assert target.read_text() == out != ""

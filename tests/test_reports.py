@@ -6,11 +6,11 @@ from ballwidth.combinatorics import Ball, GroundParams, layer_profile
 from ballwidth.poset import quotient_dag
 from ballwidth.reports import (
     SWEEP_COLUMNS,
+    emit_json,
     emit_sweep_csv,
     emit_sweep_json,
     emit_sweep_text,
     emit_table_csv,
-    emit_table_json,
     emit_table_text,
     emit_table_tikz,
     record_row,
@@ -70,7 +70,7 @@ class TestTableEmitters:
 
     def test_json_round_trips(self):
         report = table_report(GroundParams(5, 8, 4))
-        parsed = json.loads(emit_table_json(report))
+        parsed = json.loads(emit_json(report))
         assert parsed == report
 
     def test_text_mentions_every_size(self):

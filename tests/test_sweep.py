@@ -10,9 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ballwidth.combinatorics import profile_from_sizes
 from ballwidth.errors import InternalConsistencyError
+from ballwidth.poset import PosetInstance
 from ballwidth.reports import emit_sweep_csv
 from ballwidth.sweep import SweepRecord, sweep_range, sweep_tuples, verify_instance
+
+from helpers import counting
 
 
 def canonical(records):
@@ -207,6 +211,16 @@ class TestSweepRange:
         assert text.endswith("\n") and text.splitlines()[:5] == lines[:5]
         logged = [SweepRecord.from_line(line) for line in text.splitlines()]
         assert sorted(logged, key=SweepRecord.key) == first
+
+    def test_resume_skips_a_blank_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        full, _ = sweep_range(2, 2, out_path=path)
+        lines = path.read_text().splitlines()
+        text = "\n".join(lines[:2]) + "\n\n" + "\n".join(lines[2:]) + "\n"
+        path.write_text(text)
+        again, _ = sweep_range(2, 2, out_path=path, resume=True)
+        assert again == full  # every record kept, down to the stored timings
+        assert path.read_text() == text  # and none appended
 
     def test_resume_reuses_stored_records(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -427,6 +441,22 @@ class TestPlantedDisagreement:
         monkeypatch.setattr(sweep_module, name, planted)
         self.check()
 
+    def test_widths_agreeing_off_the_largest_layer(self, sweep_module, monkeypatch):
+        # all three widths still agree; a largest layer one element larger
+        # than the width is a counterexample, not an internal error
+        genuine = sweep_module.layer_profile
+
+        def planted(dag):
+            profile = genuine(dag)
+            top = profile.argmax[0]
+            return profile_from_sizes({**profile.heights, top: profile.max_size + 1})
+
+        monkeypatch.setattr(sweep_module, "layer_profile", planted)
+        record = verify_instance(3, 4, 2)
+        assert record.width == "13" and record.largest_layer_size == "14"
+        assert record.tie is False and record.unique is None
+        assert record.status == "COUNTEREXAMPLE"
+
     def test_cut_uniqueness(self, sweep_module, monkeypatch):
         monkeypatch.setattr(
             sweep_module, "is_unique_max_antichain", lambda *args: False
@@ -494,6 +524,25 @@ class TestBuildsPerTuple:
                         monkeypatch.setattr(mod, attr, counted)
         verify_instance(*key)
         assert calls == {"quotient_dag": 2, "build_table": 2}
+
+    def test_each_min_flow_builds_its_lower_covers_once(self, monkeypatch):
+        # a tie: the ball's flow width and its sphere's check each run a
+        # grid and an element min-flow, and nothing keeps the lower covers
+        import ballwidth.antichains as antichains_module
+
+        calls = {"lower_covers": 0, "_min_flow": 0}
+        monkeypatch.setattr(
+            PosetInstance,
+            "lower_covers",
+            counting(calls, "lower_covers", PosetInstance.lower_covers),
+        )
+        monkeypatch.setattr(
+            antichains_module,
+            "_min_flow",
+            counting(calls, "_min_flow", antichains_module._min_flow),
+        )
+        assert verify_instance(9, 9, 5).status == "TIE"
+        assert calls == {"lower_covers": 4, "_min_flow": 4}
 
     def test_ball_dies_before_its_sphere(self, monkeypatch):
         # the ball's checks keep no reference to the ball or its closure, so
