@@ -6,11 +6,14 @@ Two engines that must agree:
   Koenig's theorem) gives the width and a maximum antichain;
 * a minimum flow with per-element lower bounds gives the heaviest
   antichain under nonnegative integer weights.  One routine, `_heaviest`,
-  starts it from the cell grid's min-flow lifted onto the elements (on a
-  ball or sphere the grid comes from its diagram and the lift is an
-  optimum, so no element-level network is built), else from first-cover
-  chains; it cancels on a network only when that start is not minimum,
-  and checks both extreme cuts `_residual_sides` reads off the final flow.
+  starts it from the cell grid's min-flow lifted onto the elements, else
+  from first-cover chains.  On a ball or sphere the grid's flow is route B,
+  the greedy chain cover `combinatorics.sublayer_chain_cover` reads off
+  the diagram, and the lift is an optimum, so no network is built at
+  either level; a custom poset's layer grid takes its flow from
+  `_min_flow` on the cell poset.  The element flow cancels on a network
+  only when its start is not minimum, and both extreme cuts
+  `_residual_sides` reads off the final flow are checked.
 
 The sweep cross-checks the two values on every ball it verifies, and a
 disagreement raises InternalConsistencyError, never a wrong answer.
@@ -27,6 +30,7 @@ from itertools import chain, compress
 from math import lcm
 from operator import gt
 
+from .combinatorics import Coord, sublayer_chain_cover
 from .errors import BudgetExceededError, InternalConsistencyError
 from .flows import FlowNetwork
 from .matching import hopcroft_karp
@@ -292,53 +296,60 @@ def _element_grid(instance: PosetInstance, weights: list[int]) -> Grid | None:
     return cell, sizes, list(index), [rows[c][1] for c in range(k)], [rows[c][0] for c in range(k)]
 
 
-def _diagram_grid(instance: PosetInstance, weights: list[int]) -> Grid | None:
-    """The cell grid of a built ball or sphere, read from its `QuotientDag`.
-
-    The cells are the sublayers, in `dag.coords` order, which is the order
-    of the elements' blocks; an edge c -> c' gives every element of c the
-    same `cover_count(c, c')` covers into c'.  None if the weights are not
-    constant on each sublayer, or if every sublayer holds one element.
-    """
-    dag = instance.dag
-    k = len(dag.coords)
-    if k == len(instance):  # every cell one element: the grid is the poset itself
-        return None
-    index = dag.shape.index
-    sizes = [dag.table.sizes[c] for c in dag.coords]
-    cell: list[int] = []
-    cell_weights: list[int] = []
-    for c, size in enumerate(sizes):
-        block = weights[len(cell) : len(cell) + size]
-        if block.count(block[0]) != size:
-            return None
-        cell_weights.append(block[0])
-        cell += [c] * size
-    rows: list[list[int]] = [[] for _ in range(k)]
-    for u, v in sorted(dag.edges, key=lambda e: index[e[1]]):  # element order
-        rows[index[u]] += [index[v]] * dag.cover_count(u, v)
-    heights = [dag.height_of[c] for c in dag.coords]
-    return cell, sizes, heights, rows, cell_weights
-
-
 def _grid_start(instance: PosetInstance, weights: list[int]) -> tuple[int, tuple] | None:
     """(L, start): a minimum flow of the cell grid, lifted onto the elements.
 
-    A built ball or sphere reads its grid from its diagram (`_diagram_grid`),
-    any other poset discovers it element by element (`_element_grid`);
-    either returns None, and so does this, unless each cell X_c has one
-    weight w_c and every element of X_c sends d(c -> c') covers into each
-    X_c' in the same order.  The grid's min-flow (T, F) with demand
-    w_c |X_c| comes from `_min_flow` on the cell poset.  With
+    None unless each cell X_c has one weight w_c and every element of X_c
+    sends d(c -> c') covers into each X_c' in the same order, and None when
+    every cell holds one element.  A built ball or sphere reads its grid
+    off its diagram: the cells are the sublayers, whose elements sit in
+    blocks in `dag.coords` order, and d is `cover_count`.  Route B
+    (`sublayer_chain_cover`) gives the grid's min-flow (T, F) with demand
+    w_c |X_c|.  Any other poset discovers its grid element by element
+    (`_element_grid`), whose layers need not form a 2-dimensional order,
+    so `_min_flow` finds (T, F) on the cell poset.  With
     L = lcm(|X_c|, |X_c| d(c -> c')) each element of X_c carries
     T_c L / |X_c|, sends F(c -> c') L / (|X_c| d(c -> c')) along each cover
     into X_c' and weighs w_c L, all integral.  On a ball or sphere S_p x S_q
     is transitive on each sublayer, so the lift's value is L times the
     heaviest antichain (orbit averaging: comparability graphs are perfect,
     Lovasz 1972) and the lift is minimum.  `_residual_sides` checks the
-    lift on the elements, so a wrong grid raises and never moves a cut.
+    lift on the elements, so a wrong grid flow costs a cancel or raises,
+    and never moves a cut.
     """
-    grid = (_diagram_grid if instance.dag is not None else _element_grid)(instance, weights)
+    dag = instance.dag
+    if dag is None:
+        return _element_start(instance, weights)
+    sizes = dag.table.sizes
+    if len(sizes) == len(instance):  # every cell one element: the grid is the poset itself
+        return None
+    demand = {}
+    first = 0
+    for c in dag.coords:
+        block = weights[first : first + sizes[c]]
+        if block.count(block[0]) != sizes[c]:
+            return None
+        demand[c] = block[0] * sizes[c]
+        first += sizes[c]
+    through, flows = sublayer_chain_cover(dag, demand)
+    # a zero count, which no sound diagram has, leaves a short row for the
+    # element check to refuse
+    degree = [dag.cover_count(u, v) for u, v in dag.edges]
+    scale = lcm(*sizes.values(), *(sizes[u] * max(d, 1) for (u, _), d in zip(dag.edges, degree)))
+    rows: dict[Coord, list[int]] = {c: [] for c in dag.coords}
+    for (u, _), f, d in zip(dag.edges, flows, degree):  # by tail, smallest head first, as built
+        rows[u] += [f * scale // (sizes[u] * max(d, 1))] * d
+    lifted: list[int] = []
+    row_flows: list[list[int]] = []
+    for c in dag.coords:
+        lifted += [through[c] * scale // sizes[c]] * sizes[c]
+        row_flows += [rows[c]] * sizes[c]
+    return scale, (lifted, row_flows)
+
+
+def _element_start(instance: PosetInstance, weights: list[int]) -> tuple[int, tuple] | None:
+    """`_grid_start` for a poset with no diagram: its grid's min-flow, lifted."""
+    grid = _element_grid(instance, weights)
     if grid is None:
         return None
     cell, sizes, heights, rows, cell_weights = grid
@@ -366,7 +377,9 @@ def _heaviest(
     it returns an antichain of that weight, else InternalConsistencyError.
     """
     scale, start = _grid_start(instance, weights) or (1, None)
-    value, cuts, _ = _min_flow(instance, [w * scale for w in weights], start)
+    # one int object per distinct weight, not per element
+    scaled = {w: w * scale for w in set(weights)}
+    value, cuts, _ = _min_flow(instance, list(map(scaled.__getitem__, weights)), start)
     if value % scale:
         raise InternalConsistencyError(f"flow value {value} not a multiple of {scale}")
     value //= scale
@@ -428,7 +441,7 @@ def check_klym(instance: PosetInstance) -> KlymVerdict:
     for h in instance.height_of:
         sizes[h] += 1
     scale = lcm(*sizes)
-    weights = [scale // sizes[h] for h in instance.height_of]
+    weights = list(map([scale // size for size in sizes].__getitem__, instance.height_of))
     value, members, _ = _heaviest(instance, weights)
     witness = AntichainWitness(tuple(members))
     return KlymVerdict(value <= scale, Fraction(value, scale), witness)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import InternalConsistencyError
@@ -144,6 +145,76 @@ def heaviest_sublayer_chain(table: SublayerTable) -> tuple[int, int]:
                 run = _heavier(run, (left[0] + table.sizes[(i, j)], left[1]))
             left, done[j] = done[j], _heavier(done[j], run)
     return done[-1]
+
+
+def sublayer_chain_cover(dag, demand: dict[Coord, int]) -> tuple[dict[Coord, int], list[int]]:
+    """Route B: a minimum chain cover of a family's sublayers, as a flow.
+
+    The primal of `heaviest_sublayer_chain`, on a `poset.QuotientDag`:
+    (through, flows), the chains through each sublayer and along each edge
+    of `dag.edges`, at least `demand` through each sublayer, entering at
+    the source and leaving at the sink.  A sphere's sublayers form a path,
+    so every one carries the largest demand.  A ball's sublayer (i', j')
+    lies above (i, j) when i' <= i and j' >= j, a 2-dimensional order, whose
+    heaviest antichain a greedy chain cover meets (patience sorting; Greene,
+    "Some partitions associated with a partially ordered set", 1976):
+    rows i descending, each row's columns ascending, each sublayer takes the
+    open chains whose column is at most j, largest column first, and opens
+    the rest at the source; chains still open at the end go to the
+    sink.  A chain steps from a to b by restores down a's column, then
+    gains along b's row, inside the ball at every radius; the steps add up
+    in one difference array per column and one per row.
+    """
+    if isinstance(dag.table.family, Sphere):
+        top = max(demand.values())
+        return dict.fromkeys(dag.coords, top), [top] * len(dag.edges)
+    (bottom, _), (_, right) = dag.source, dag.sink
+    down = [[0] * (bottom + 1) for _ in range(right + 1)]  # restores, by column and row
+    gain = [[0] * (right + 1) for _ in range(bottom + 1)]  # gains, by row and column
+
+    def route(a: Coord, b: Coord, m: int) -> None:
+        down[a[1]][a[0]] += m
+        down[a[1]][b[0]] -= m
+        gain[b[0]][a[1]] += m
+        gain[b[0]][b[1]] -= m
+
+    tails: list[list[list[int]]] = [[] for _ in range(right + 1)]  # [row, chains], nearest row last
+    value = 0
+    for i, j in sorted(dag.coords, key=lambda c: (-c[0], c[1])):
+        left = demand[i, j]
+        if not left:
+            continue
+        for col in range(j, -1, -1):
+            stack = tails[col]
+            while left and stack:
+                tail = stack[-1]
+                m = min(tail[1], left)
+                route((tail[0], col), (i, j), m)
+                left -= m
+                tail[1] -= m
+                if not tail[1]:
+                    stack.pop()
+            if not left:
+                break
+        if left:
+            route(dag.source, (i, j), left)
+            value += left
+        tails[j].append([i, demand[i, j]])
+    for col, stack in enumerate(tails):
+        for row, m in stack:
+            route((row, col), dag.sink, m)
+
+    # a restore out of (i, j) carries the chains from rows >= i; a gain the
+    # chains from columns <= j
+    down = [list(accumulate(reversed(column)))[::-1] for column in down]
+    gain = [list(accumulate(row)) for row in gain]
+    through = dict.fromkeys(dag.coords, 0)
+    through[dag.sink] = value
+    flows = []
+    for (i, j), (ti, _) in dag.edges:
+        flows.append(down[j][i] if ti < i else gain[i][j])
+        through[i, j] += flows[-1]
+    return through, flows
 
 
 def _heavier(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:

@@ -24,6 +24,11 @@ limit a depth-first formulation would need.
 
 from __future__ import annotations
 
+from itertools import compress
+
+# binary digits as flag bytes: "1" is 1, "0" is 0
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 def hopcroft_karp(
     adj: list[int],
@@ -97,10 +102,9 @@ def hopcroft_karp(
             reached_free = reached_free or bool(reach & free_r)
             matched = reach & ~free_r
             open_r.append(matched)
-            # "0b" then the bits top-first: character k is right k + shift
-            digits = bin(matched)
-            shift = n - len(digits)
-            frontier = [match_r[k + shift] for k, c in enumerate(digits) if c == "1"]
+            # the bits top-first, one flag byte each: the last byte is right n - 1
+            flags = bin(matched).encode()[2:].translate(_FLAGS)
+            frontier = list(compress(match_r[n - len(flags) :], flags))
             visited += frontier
         if not reached_free:
             # no free right was reached: the rights reached are the mates

@@ -13,10 +13,12 @@ step, both at once.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations, repeat
+from math import comb
+from operator import add, itemgetter
 
 from .combinatorics import (
     Ball,
@@ -248,60 +250,122 @@ def quotient_dag(params: GroundParams, family: Family) -> QuotientDag:
     return QuotientDag(s.coords, s.edges, s.source, s.sink, s.height_of, table, s)
 
 
+def _chunks(flat: Iterable[int], size: int) -> Iterator[tuple[int, ...]]:
+    """`flat` as consecutive tuples of `size` items; zip reuses each one."""
+    return zip(*[iter(flat)] * size)
+
+
+def _edge_picks(
+    rows: Iterator[tuple[int, ...]],
+    drop: tuple[int, ...] | None,
+    gain: itemgetter | None,
+    i: int,
+    s: int,
+) -> Iterator[tuple[int, ...]]:
+    """Each tail element's covers along one edge, element by element.
+
+    `rows` are the head block's rows of ids, `drop` the tail's drop steps,
+    i per drop mask, None on a gain, and `gain` the pick of s gain steps
+    per gain mask, None on a restore.
+    """
+    if drop is None:  # gain: one pick of row d gives the steps of every g
+        return chain.from_iterable(map(_chunks, map(gain, rows), repeat(s)))
+    steps = _chunks(drop, i)  # per d, the rows it steps to
+    if gain is None:  # restore: those rows zipped give the steps of d, g by g
+        rows = list(rows)
+        return chain.from_iterable(zip(*[rows[x] for x in d]) for d in steps)
+    # diagonal: the gain picks of those rows, side by side, joined
+    picked = list(map(gain, rows))
+    sides = chain.from_iterable(zip(*[_chunks(picked[x], s) for x in d]) for d in steps)
+    return _chunks(chain.from_iterable(chain.from_iterable(sides)), i * s)
+
+
+@lru_cache(maxsize=1)
+def _step_tables(p: int, q: int):
+    """(drops, gains): the step tables of one (p, q), filled on first use.
+
+    A k-bit mask steps to the masks one bit flip away with t = k - 1 or
+    k + 1 bits, whose ranks ascend as the flipped bit falls for t < k and
+    as it rises for t > k.  `drops(i)` holds the ranks of every i-bit drop
+    mask's (i - 1)-bit steps, i per mask, mask after mask, in one tuple;
+    `gains(j)` picks those of every j-bit gain mask's (j + 1)-bit steps the
+    same way, as one itemgetter.  A sweep varies r innermost and builds a
+    ball and a sphere of each tuple, so one (p, q)'s tables serve many
+    builds; the next (p, q) drops them.
+    """
+    masks = cache(masks_with_popcount)
+
+    def steps(width: int, k: int, t: int) -> list[int]:
+        rank = {m: r for r, m in enumerate(masks(width, t))}
+        flips = [1 << b for b in range(width)]
+        if t < k:
+            flips.reverse()
+        return [rank[m ^ f] for m in masks(width, k) for f in flips if m ^ f in rank]
+
+    @cache
+    def drops(i: int) -> tuple[int, ...]:
+        return tuple(steps(p, i, i - 1))
+
+    @cache
+    def gains(j: int) -> itemgetter:
+        ranks = steps(q, j, j + 1)
+        if len(ranks) == 1:  # itemgetter returns one item bare, a slice as a tuple
+            return itemgetter(slice(0, 1))
+        return itemgetter(*ranks)
+
+    return drops, gains
+
+
 def _build_family(
     params: GroundParams, family: Family, element_budget: int
 ) -> PosetInstance:
+    """The elements of a family, in blocks, with their covers and heights.
+
+    Block c = (i, j) is its drop masks times its gain masks, each ascending:
+    element (d, g) sits at start[c] + d * C(q, j) + g, so the block is a
+    table of ids with a row per drop mask.  An edge c -> c' steps each side
+    by one flip or none, so (d, g) covers (d', g') of c' for every side
+    step d -> d' and g -> g', row by row.  Each edge's covers are picked
+    from whole rows of the target block: a restore keeps g, so zipping the
+    rows that d steps to gives them column by column; a gain keeps d, so
+    one pick of row d gives the steps of every g; a sphere's diagonal takes
+    that pick of each row d steps to, side by side.  Edges come by tail,
+    then head, so each cover list is ascending.  It is made at its final
+    length from tuples that zip reuses, or one concatenation, so few
+    short-lived tuples are left behind, and it holds the shared ints of
+    `ids`.
+    """
     dag = quotient_dag(params, family)
     total = dag.table.total
     if total > element_budget:
         raise BudgetExceededError(total, element_budget)
 
-    masks = cache(masks_with_popcount)
-
-    @cache
-    def steps(width: int, k: int, t: int) -> list[list[int]]:
-        # per k-bit mask, the ascending ranks of its t-bit steps: itself
-        # when t == k, else the masks one bit flip away, which ascend as
-        # the flipped bit falls for t < k and as it rises for t > k
-        if t == k:
-            return [[r] for r in range(len(masks(width, k)))]
-        rank = {m: r for r, m in enumerate(masks(width, t))}
-        flips = [1 << b for b in range(width)]
-        if t < k:
-            flips.reverse()
-        return [[rank[m ^ f] for f in flips if (m ^ f) in rank] for m in masks(width, k)]
-
-    # Block c = (i, j) is its drop masks times its gain masks, each
-    # ascending: element (d, g) sits at first[c] + d * len(masks(q, j)) + g.
-    # An edge c -> c' steps each side by one flip or none, so (d, g) covers
-    # (d', g') of c' for every side step d -> d' and g -> g'.  Edges come by
-    # tail, then head, so each cover list is ascending; its entries are the
-    # shared ints of `ids`.
+    drops, gains = _step_tables(params.p, params.q)
     p, q = params.p, params.q
-    height_of: list[int] = []
-    first: dict[Coord, int] = {}
-    for c in dag.coords:  # already (height, i, j) ordered
-        i, j = c
-        first[c] = len(height_of)
-        height_of += [dag.height_of[c]] * (len(masks(p, i)) * len(masks(q, j)))
-    if len(height_of) != total:
-        raise GradedQuotientError(
-            f"enumerated {len(height_of)} elements, expected {total}"
-        )
-
-    ids = list(range(total))
-    covers: list[list[int]] = [[] for _ in ids]
+    sizes = [dag.table.sizes[c] for c in dag.coords]  # already (height, i, j) ordered
+    start = dict(zip(dag.coords, accumulate(sizes, initial=0)))
+    # per tail, each edge's head and step tables, looked up before the
+    # elements are made so that new tables are not scattered among them
+    edges: dict[Coord, list[tuple]] = {}
     for (i, j), (ti, tj) in sorted(dag.edges):
-        gain_steps = steps(q, j, tj)
-        size = len(masks(q, tj))
-        base = first[ti, tj]
-        k = first[i, j]
-        for drop in steps(p, i, ti):
-            row = [base + d * size for d in drop]
-            for gain in gain_steps:
-                covers[k] += [ids[a + g] for a in row for g in gain]
-                k += 1
+        steps = (drops(i) if ti < i else None, gains(j) if tj > j else None)
+        edges.setdefault((i, j), []).append((ti, tj, *steps))
 
+    ids = tuple(range(total))
+    height_of: list[int] = []
+    covers: list[list[int]] = []
+    for c, size in zip(dag.coords, sizes):
+        height_of += [dag.height_of[c]] * size
+        i, j = c
+        parts = []  # per edge, each element's covers into its head, element by element
+        for ti, tj, drop, gain in edges.get(c, ()):
+            base, width = start[ti, tj], comb(q, tj)
+            end = base + comb(p, ti) * width
+            bounds = map(slice, range(base, end, width), range(base + width, end + width, width))
+            parts.append(_edge_picks(map(ids.__getitem__, bounds), drop, gain, i, q - j))
+        if not parts:
+            parts.append(repeat((), size))
+        covers += map(list, map(add, *parts) if len(parts) == 2 else parts[0])
     return PosetInstance(covers, height_of, dag)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from helpers import (
     longest_path_shape,
     strict_less_masks,
     sublayers,
+    subset_order_reference,
     top_first,
 )
 
@@ -99,17 +101,40 @@ class TestBuildBall:
         [
             pytest.param(p, q, r, sphere, id=f"{'sphere-' * sphere}{p}-{q}-{r}")
             for sphere in (False, True)
-            for p, q, r in SMALL_BALLS + [(2, 5, 4), (3, 2, 4), (3, 0, 2)]
+            for p in range(1, 11)
+            for q in range(11 - p)
+            for r in range(p + q + 1)
         ],
     )
     def test_heights_and_covers_match_brute_force(self, p, q, r, sphere):
-        # spheres step diagonally; (2, 5, 4) and (3, 2, 4) truncate the
-        # radius, and (3, 0, 2) has no far side
+        # every ball and top sphere with p + q <= 10 at every radius: spheres
+        # step diagonally, r > min(p, q) truncates, q = 0 has no far side.
+        # Each cover list is made at its final length, as list() makes it
         params = GroundParams(p, q, r)
         inst = build_sphere(params, r) if sphere else build_ball(params)
-        lt = strict_less_masks(family_subsets(inst, range(len(inst))))
-        assert inst.height_of == brute_heights(lt)
-        assert inst.covers == brute_covers(lt)
+        subsets = family_subsets(inst, range(len(inst)))
+        heights, covers = subset_order_reference(subsets)
+        assert inst.height_of == heights
+        assert inst.covers == covers
+        assert all(sys.getsizeof(c) == sys.getsizeof(list(c)) for c in inst.covers)
+        if len(inst) <= 64:  # the pairwise reference agrees where it is quick
+            lt = strict_less_masks(subsets)
+            assert (heights, covers) == (brute_heights(lt), brute_covers(lt))
+
+    def test_only_the_last_pq_tables_are_held(self):
+        # a sweep varies r innermost: one (p, q)'s step tables serve its
+        # builds, and the next (p, q) drops them
+        tables = poset._step_tables
+        tables.cache_clear()
+        build_ball(GroundParams(3, 4, 2))
+        held = tables(3, 4)
+        build_sphere(GroundParams(3, 4, 3), 3)
+        assert tables(3, 4) is held
+        build_ball(GroundParams(5, 2, 2))
+        assert tables.cache_info().currsize == 1
+        hits = tables.cache_info().hits
+        assert tables(5, 2) is not held
+        assert tables.cache_info().hits == hits + 1
 
     def test_layout_is_pinned(self):
         # elements as [removal, addition] masks, covers, heights and
