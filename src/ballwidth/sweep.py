@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
@@ -249,6 +248,7 @@ def _pooled(pool, work: list) -> Iterator[SweepRecord]:
     A failing tuple waits for the others, so no finished record is lost;
     of several failures, the one earliest in sweep order is raised.
     """
+    from concurrent.futures import as_completed  # only a pool needs it
     futures = {pool.submit(_verify_args, args): k for k, args in enumerate(work)}
     errors: dict[int, BaseException] = {}
     for future in as_completed(futures):
@@ -282,8 +282,9 @@ def sweep_range(
     Without resume, a non-empty out_path is refused with ValueError and
     left untouched, so no run duplicates a log; resume without out_path is
     refused too.  `jobs` and both budgets must be at least 1; the pool
-    never outnumbers the CPUs or the tuples left to verify.  A parallel run
-    raises a tuple's error only once the others are logged.
+    never outnumbers the CPUs or the tuples left to verify.  A serial run
+    (jobs=1, one CPU or one tuple left) never imports the pool.  A
+    parallel run raises a tuple's error only once the others are logged.
     """
     budgets = {"element_budget": element_budget, "matching_budget": matching_budget}
     for name, value in {"jobs": jobs, **budgets}.items():
@@ -311,6 +312,8 @@ def sweep_range(
     with ExitStack() as stack:
         handle = stack.enter_context(path.open("a")) if path is not None else None
         if workers > 1:
+            # imported here, so a serial run never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = _pooled(pool, work)
         else:

@@ -1,15 +1,20 @@
+import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
+import os
+import subprocess
 import sys
 import tracemalloc
 import weakref
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ballwidth
 from ballwidth.combinatorics import profile_from_sizes
 from ballwidth.errors import InternalConsistencyError
 from ballwidth.poset import PosetInstance
@@ -373,11 +378,31 @@ class TestJobs:
             def __init__(self, max_workers):
                 started.append(max_workers)
 
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+        # sweep_range imports the pool from here when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: cpus)
         records, _ = sweep_range(2, 2, jobs=jobs)
         assert started == expect
         assert canonical(records) == canonical(sweep_range(2, 2)[0])
+
+    def test_serial_run_never_imports_the_pool(self):
+        # a fresh interpreter, since this one has multiprocessing loaded
+        src = str(Path(ballwidth.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import sys, ballwidth.cli\n"
+            "from ballwidth.sweep import sweep_range\n"
+            "sweep_range(2, 2)\n"
+            "names = ('multiprocessing', 'concurrent.futures.process')\n"
+            "print(sorted(n for n in names if n in sys.modules))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 class TestErrorsNameTheirTuple:
@@ -489,7 +514,7 @@ class TestParallelFailureKeepsFinishedRecords:
         assert sorted(keys) == [t for t in sweep_tuples(3, 3) if t != (1, 2, 1)]
 
     def test_in_process_pool(self, planted, monkeypatch, tmp_path):
-        monkeypatch.setattr(planted, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         self.check_log(tmp_path)
 
     @pytest.mark.skipif(
