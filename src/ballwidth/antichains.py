@@ -9,11 +9,11 @@ Two engines that must agree:
   starts it from the cell grid's min-flow lifted onto the elements, else
   from first-cover chains.  On a ball or sphere the grid's flow is route B,
   the greedy chain cover `combinatorics.sublayer_chain_cover` reads off
-  the diagram, and the lift is an optimum, so no network is built at
-  either level; a custom poset's layer grid takes its flow from
-  `_min_flow` on the cell poset.  The element flow cancels on a network
-  only when its start is not minimum, and both extreme cuts
-  `_residual_sides` reads off the final flow are checked.
+  the diagram; a custom poset's height layers form one path that carries
+  its largest demand, as a sphere's does, so no min-flow runs on cells.
+  Either lift is an optimum, so no network is built.  The element flow
+  cancels on a network only when its start is not minimum, and both
+  extreme cuts `_residual_sides` reads off the final flow are checked.
 
 The sweep cross-checks the two values on every ball it verifies, and a
 disagreement raises InternalConsistencyError, never a wrong answer.
@@ -23,7 +23,6 @@ antichain.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
@@ -37,9 +36,6 @@ from .matching import hopcroft_karp
 from .poset import PosetInstance
 
 DEFAULT_MATCHING_BUDGET = 20000
-# a cell grid: each element's cell, and per cell its size, its height, its
-# row of upper-cover cells (one entry per cover of an element) and its weight
-Grid = tuple[list[int], list[int], list[int], list[list[int]], list[int]]
 
 
 @dataclass(frozen=True)
@@ -272,30 +268,6 @@ def _min_flow(
     return value, cuts, (through, cover_flow)
 
 
-def _element_grid(instance: PosetInstance, weights: list[int]) -> Grid | None:
-    """The cell grid found element by element, for a poset with no diagram.
-
-    The cells are the height layers, numbered by first element.  Every
-    element of a cell must weigh the same, and send its covers into the
-    same row of cells and take its lower covers from the same row, else
-    this returns None; so covers between cells are biregular.  None too
-    when every cell holds one element.
-    """
-    index: dict[int, int] = {}  # height -> cell
-    cell = [index.setdefault(h, len(index)) for h in instance.height_of]
-    k = len(index)
-    if k == len(cell):  # every cell one element: the grid is the poset itself
-        return None
-    sizes = [0] * k
-    rows: dict[int, tuple] = {}  # (weight, upper-cover cells, lower-cover cells)
-    for x, (ys, zs) in enumerate(zip(instance.covers, instance.lower_covers())):
-        row = (weights[x], [cell[y] for y in ys], [cell[z] for z in zs])
-        if rows.setdefault(cell[x], row) != row:
-            return None
-        sizes[cell[x]] += 1
-    return cell, sizes, list(index), [rows[c][1] for c in range(k)], [rows[c][0] for c in range(k)]
-
-
 def _grid_start(instance: PosetInstance, weights: list[int]) -> tuple[int, tuple] | None:
     """(L, start): a minimum flow of the cell grid, lifted onto the elements.
 
@@ -305,21 +277,24 @@ def _grid_start(instance: PosetInstance, weights: list[int]) -> tuple[int, tuple
     off its diagram: the cells are the sublayers, whose elements sit in
     blocks in `dag.coords` order, and d is `cover_count`.  Route B
     (`sublayer_chain_cover`) gives the grid's min-flow (T, F) with demand
-    w_c |X_c|.  Any other poset discovers its grid element by element
-    (`_element_grid`), whose layers need not form a 2-dimensional order,
-    so `_min_flow` finds (T, F) on the cell poset.  With
+    w_c |X_c|.  Any other poset's cells are its heights (`_height_start`):
+    each element above height 0 has a lower cover one height down, so the
+    grid is the path h -> h + 1, and a cover that skips a height only adds
+    a side edge.  As on a sphere, every cell carries the largest demand T
+    and a skipping edge carries 0, so no min-flow runs on the cells.  With
     L = lcm(|X_c|, |X_c| d(c -> c')) each element of X_c carries
     T_c L / |X_c|, sends F(c -> c') L / (|X_c| d(c -> c')) along each cover
     into X_c' and weighs w_c L, all integral.  On a ball or sphere S_p x S_q
     is transitive on each sublayer, so the lift's value is L times the
     heaviest antichain (orbit averaging: comparability graphs are perfect,
-    Lovasz 1972) and the lift is minimum.  `_residual_sides` checks the
-    lift on the elements, so a wrong grid flow costs a cancel or raises,
+    Lovasz 1972); on a height path it is T L, the weight of the heaviest
+    height layer.  Either way the lift is minimum.  `_residual_sides` checks
+    the lift on the elements, so a wrong grid flow costs a cancel or raises,
     and never moves a cut.
     """
     dag = instance.dag
     if dag is None:
-        return _element_start(instance, weights)
+        return _height_start(instance, weights)
     sizes = dag.table.sizes
     if len(sizes) == len(instance):  # every cell one element: the grid is the poset itself
         return None
@@ -347,24 +322,35 @@ def _grid_start(instance: PosetInstance, weights: list[int]) -> tuple[int, tuple
     return scale, (lifted, row_flows)
 
 
-def _element_start(instance: PosetInstance, weights: list[int]) -> tuple[int, tuple] | None:
-    """`_grid_start` for a poset with no diagram: its grid's min-flow, lifted."""
-    grid = _element_grid(instance, weights)
-    if grid is None:
+def _height_start(instance: PosetInstance, weights: list[int]) -> tuple[int, tuple] | None:
+    """`_grid_start` for a poset with no diagram: its heights are the cells.
+
+    Every element of a height must weigh the same, send its covers into
+    the same ordered row of heights and take its lower covers from the
+    same row, else None; None too when every height holds one element.
+    """
+    height_of = instance.height_of
+    sizes = [0] * (max(height_of, default=-1) + 1)
+    if len(sizes) == len(height_of):  # every height one element: the grid is the poset itself
         return None
-    cell, sizes, heights, rows, cell_weights = grid
-    counts = [Counter(row) for row in rows]  # d(c -> c') by c'
-    ups = [sorted(d) for d in counts]
-    poset = PosetInstance(ups, heights)
-    demand = [w * size for w, size in zip(cell_weights, sizes)]
-    _, _, (through, flow) = _min_flow(poset, demand)
-    scale = lcm(*sizes, *(size * d for size, ds in zip(sizes, counts) for d in ds.values()))
-    row_flows = []
-    for size, row, ds, up, fs in zip(sizes, rows, counts, ups, flow):
-        share = {e: f * scale // (size * ds[e]) for e, f in zip(up, fs)}
-        row_flows.append([share[e] for e in row])
-    lifted = [t * scale // size for t, size in zip(through, sizes)]
-    return scale, ([lifted[c] for c in cell], [row_flows[c] for c in cell])
+    rows: dict[int, tuple] = {}  # height -> (weight, upper-cover heights, lower-cover heights)
+    for x, (ys, zs) in enumerate(zip(instance.covers, instance.lower_covers())):
+        h = height_of[x]
+        row = (weights[x], [height_of[y] for y in ys], [height_of[z] for z in zs])
+        if rows.setdefault(h, row) != row:
+            return None
+        sizes[h] += 1
+    # each element above height 0 has a lower cover one height down, so the
+    # path h -> h + 1 carries the largest demand; a skipping cover carries 0
+    top = max(rows[h][0] * size for h, size in enumerate(sizes))
+    degree = [rows[h][1].count(h + 1) for h in range(len(sizes))]
+    scale = lcm(*sizes, *(size * max(d, 1) for size, d in zip(sizes, degree)))
+    through = [top * scale // size for size in sizes]
+    row_flows = [
+        [through[h] // d if v == h + 1 else 0 for v in rows[h][1]]
+        for h, d in enumerate(degree)
+    ]
+    return scale, ([through[h] for h in height_of], [row_flows[h] for h in height_of])
 
 
 def _heaviest(

@@ -291,13 +291,10 @@ def check_ratio_monotone(params: GroundParams, radius: int) -> MonotonicityVerdi
         raise ValueError(f"radius must be >= 1, got {radius}")
     lo = max(1, radius + 1 - params.p)
     hi = min(radius, params.q)
-    terms: list[tuple[int, int, int]] = []  # (j, numerator, denominator)
-    for j in range(lo, hi + 1):
-        i = radius + 1 - j
-        terms.append((j, (params.q - j + 1) * i, (params.p - i + 1) * j))
-    for (j1, n1, d1), (_, n2, d2) in zip(terms, terms[1:]):
-        if n1 * d2 < n2 * d1:  # ratio increased
-            return MonotonicityVerdict(False, (j1, Fraction(n1, d1), Fraction(n2, d2)))
+    terms = [(j, ratio(params, radius + 1 - j, j)) for j in range(lo, hi + 1)]
+    for (j, a), (_, b) in zip(terms, terms[1:]):
+        if a < b:  # ratio increased
+            return MonotonicityVerdict(False, (j, a, b))
     return MonotonicityVerdict(True)
 
 

@@ -347,7 +347,7 @@ def _build_family(
     # per tail, each edge's head and step tables, looked up before the
     # elements are made so that new tables are not scattered among them
     edges: dict[Coord, list[tuple]] = {}
-    for (i, j), (ti, tj) in sorted(dag.edges):
+    for (i, j), (ti, tj) in dag.edges:  # by tail, restore before gain, as built
         steps = (drops(i) if ti < i else None, gains(j) if tj > j else None)
         edges.setdefault((i, j), []).append((ti, tj, *steps))
 

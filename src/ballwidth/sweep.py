@@ -20,6 +20,7 @@ import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
 from typing import Iterator
 
@@ -237,11 +238,6 @@ def _still_valid(
     )
 
 
-def _verify_args(args: tuple[int, int, int, int, int]) -> SweepRecord:
-    p, q, r, element_budget, matching_budget = args
-    return verify_instance(p, q, r, element_budget, matching_budget)
-
-
 def _pooled(pool, work: list) -> Iterator[SweepRecord]:
     """Records in the order they finish, then the first failure, if any.
 
@@ -249,7 +245,7 @@ def _pooled(pool, work: list) -> Iterator[SweepRecord]:
     of several failures, the one earliest in sweep order is raised.
     """
     from concurrent.futures import as_completed  # only a pool needs it
-    futures = {pool.submit(_verify_args, args): k for k, args in enumerate(work)}
+    futures = {pool.submit(verify_instance, *args): k for k, args in enumerate(work)}
     errors: dict[int, BaseException] = {}
     for future in as_completed(futures):
         exc = future.exception()
@@ -317,7 +313,7 @@ def sweep_range(
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = _pooled(pool, work)
         else:
-            results = map(_verify_args, work)
+            results = starmap(verify_instance, work)
         for record in results:
             done[record.key()] = record
             if handle is not None:

@@ -708,6 +708,71 @@ class TestGridStart:
         assert check_klym(custom) == expect
         assert built == []
 
+    def test_height_path_carries_nothing_on_skipping_covers(self, monkeypatch):
+        # covers 0 -> 5 and 1 -> 4 skip height 1, yet each height holds two
+        # elements with the same ordered rows of cover heights, so it lifts
+        def poset():
+            return PosetInstance([[2, 5], [3, 4], [4], [5], [], []], [0, 0, 1, 1, 2, 2])
+
+        expect = [network_route(fn, poset()) for fn in (check_klym, flow_width)]
+        lifts, built = [], []
+        real_start, real_init = antichains_module._grid_start, FlowNetwork.__init__
+
+        def spy(instance, weights):
+            lift = real_start(instance, weights)
+            lifts.append(lift)
+            return lift
+
+        def init(self, n):
+            built.append(n)
+            real_init(self, n)
+
+        monkeypatch.setattr(antichains_module, "_grid_start", spy)
+        monkeypatch.setattr(FlowNetwork, "__init__", init)
+        instance = poset()
+        assert [check_klym(instance), flow_width(instance)] == expect
+        assert expect[0].holds and expect[1][0] == 2
+        assert len(lifts) == 2 and None not in lifts
+        for _, (_, cover_flow) in lifts:
+            assert cover_flow[0][1] == cover_flow[1][1] == 0
+            assert all(cover_flow[x][0] for x in range(4))
+        assert built == []
+
+    def test_bare_spheres_run_one_min_flow_and_no_network(self, monkeypatch):
+        # every sphere with p + q <= 12, held as its covers and heights
+        # alone, gets the built sphere's verdicts from its height path
+        built, flows = [], []
+        real_init = FlowNetwork.__init__
+        real_heaviest, real_min_flow = antichains_module._heaviest, antichains_module._min_flow
+
+        def init(self, n):
+            built.append(n)
+            real_init(self, n)
+
+        def heaviest(*args):
+            flows.append(0)
+            return real_heaviest(*args)
+
+        def min_flow(*args):
+            flows[-1] += 1
+            return real_min_flow(*args)
+
+        monkeypatch.setattr(FlowNetwork, "__init__", init)
+        monkeypatch.setattr(antichains_module, "_heaviest", heaviest)
+        monkeypatch.setattr(antichains_module, "_min_flow", min_flow)
+        count = 0
+        for p in range(1, 13):
+            for q in range(13 - p):
+                for r in range(p + q + 1):
+                    sphere = build_sphere(GroundParams(p, q, r), r)
+                    bare = PosetInstance(sphere.covers, sphere.height_of)
+                    for fn in (check_klym, flow_width):
+                        assert fn(bare) == fn(sphere), (p, q, r)
+                    count += 1
+        assert count == sum(p + q + 1 for p in range(1, 13) for q in range(13 - p))
+        assert built == []
+        assert flows == [1] * 4 * count
+
     def test_ball_klym_takes_the_lift_and_matches_the_network(self):
         count = 0
         for p in range(1, 9):
@@ -843,19 +908,12 @@ class TestDiagramGrid:
             for q in range(13 - p):
                 for r in range(p + q + 1):
                     params = GroundParams(p, q, r)
-                    ball, sphere = build_ball(params), build_sphere(params, r)
-                    # a sphere's height layers are its sublayers, so the
-                    # discovery on its bare covers and heights finds them
-                    bare = PosetInstance(sphere.covers, sphere.height_of)
-                    for instance, found in (
-                        (ball, sublayer_grid(ball, [1] * len(ball))),
-                        (sphere, antichains_module._element_grid(bare, [1] * len(bare))),
-                    ):
+                    for instance in (build_ball(params), build_sphere(params, r)):
                         unit = [1] * len(instance)
                         lifted = antichains_module._grid_start(instance, unit) is not None
                         assert lifted == shares_a_cell(instance), (p, q, r)
                         if lifted:
-                            assert diagram_grid(instance) == found, (p, q, r)
+                            assert diagram_grid(instance) == sublayer_grid(instance, unit), (p, q, r)
                         heights = [instance.dag.height_of[c] for c in sublayers(instance)]
                         assert heights == instance.height_of, (p, q, r)
                         count += 1
