@@ -9,8 +9,8 @@ rate still certifies the size.
 Two independent producers live here: a generic feasibility flow over the
 diagram, and a hand-guided zigzag construction that descends from the
 largest sphere sublayer and climbs back through the sphere pairs.  Both
-emit the same Certificate shape and both are re-validated by
-certificate_check before they are returned.
+emit the same Certificate shape, and `_graded` re-validates it with
+certificate_check and grades it before it is returned.
 
 Everything but the sizes depends on the diagram's coordinate set alone,
 so the search, the peel and the check read what they need off the shared
@@ -131,9 +131,16 @@ def certificate_check(certificate: Certificate, dag: QuotientDag) -> bool:
     return all(map(int.__ge__, accumulated, sizes))
 
 
-def _status_for(coverage: dict[Coord, int], dag: QuotientDag, target: int) -> str:
-    off = [c for c in dag.coords if dag.height_of[c] != target]
-    if off and all(coverage.get(c, 0) >= dag.table.sizes[c] + 1 for c in off):
+def _graded(certificate: Certificate, dag: QuotientDag, producer: str) -> str:
+    """Run `certificate_check` on a producer's chain family, then grade it.
+
+    A failed check raises, naming the producer.  CERTIFIED_STRICT needs
+    sublayers off the target height, each with more chains than elements.
+    """
+    if not certificate_check(certificate, dag):
+        raise InternalConsistencyError(f"{producer} produced an invalid certificate")
+    off = [c for c in dag.coords if dag.height_of[c] != certificate.target_height]
+    if off and all(certificate.coverage.get(c, 0) > dag.table.sizes[c] for c in off):
         return CERTIFIED_STRICT
     return CERTIFIED
 
@@ -305,9 +312,7 @@ def certificate_search(
     profiles = _peel(shape, total, cap[first_edge + 1 : circulation : 2])
 
     certificate = Certificate(tuple(profiles), coverage, target_height)
-    if not certificate_check(certificate, dag):
-        raise InternalConsistencyError("search produced an invalid certificate")
-    status = _status_for(coverage, dag, target_height)
+    status = _graded(certificate, dag, "search")
     return CertificateVerdict(
         status,
         certificate,
@@ -459,9 +464,8 @@ def zigzag_certificate(params: GroundParams) -> CertificateVerdict:
 
     if params.r == 0:
         certificate = Certificate(((((0, 0),), 1),), {(0, 0): 1}, 0)
-        if not certificate_check(certificate, dag):
-            raise InternalConsistencyError("trivial certificate failed its check")
-        return CertificateVerdict(CERTIFIED, certificate, "single-point ball")
+        status = _graded(certificate, dag, "single-point ball")
+        return CertificateVerdict(status, certificate, "single-point ball")
 
     argmax, rounded = largest_sphere_sublayer(params, params.r)
     starts = [rounded] + sorted(c for c in argmax if c != rounded)
@@ -486,17 +490,12 @@ def zigzag_certificate(params: GroundParams) -> CertificateVerdict:
             failures.append(reason)
             continue
 
-        inflow: dict[Coord, int] = {}
-        outflow: dict[Coord, int] = {}
-        for (lo, hi), f in flows.items():
-            outflow[lo] = outflow.get(lo, 0) + f
-            inflow[hi] = inflow.get(hi, 0) + f
-        coverage: dict[Coord, int] = {}
-        for c in dag.coords:
-            fin, fout = inflow.get(c, 0), outflow.get(c, 0)
-            if c not in (dag.source, dag.sink) and fin != fout:
-                raise InternalConsistencyError(f"zigzag flow unbalanced at {c}")
-            coverage[c] = fout if c == dag.source else fin
+        total = sum(f for (lo, _), f in flows.items() if lo == dag.source)
+        profiles = _peel_profiles(dag, total, flows)  # refuses an unconserved flow
+        coverage = dict.fromkeys(dag.coords, 0)
+        for profile, mult in profiles:
+            for c in profile:
+                coverage[c] += mult
 
         target_height = params.r - i0 + j0
         shortfall = next((c for c in dag.coords if coverage[c] < sizes[c]), None)
@@ -520,12 +519,9 @@ def zigzag_certificate(params: GroundParams) -> CertificateVerdict:
             )
             continue
 
-        profiles = _peel_profiles(dag, coverage[dag.source], flows)
         certificate = Certificate(tuple(profiles), coverage, target_height)
-        if not certificate_check(certificate, dag):
-            raise InternalConsistencyError("zigzag produced an invalid certificate")
-        status = _status_for(coverage, dag, target_height)
-        note = f"start {start} routes {coverage[dag.source]} chains"
+        status = _graded(certificate, dag, "zigzag")
+        note = f"start {start} routes {total} chains"
         if failures:
             note += "; rejected " + "; ".join(failures)
         return CertificateVerdict(status, certificate, note)

@@ -142,6 +142,8 @@ def _run_klym(args: argparse.Namespace) -> int:
 
 
 def _run_certify(args: argparse.Namespace) -> int:
+    if args.strict and args.method == "zigzag":
+        raise ValueError("--strict applies to the flow search, not to --method zigzag")
     params = _params(args)
     if args.method == "zigzag":
         verdict = zigzag_certificate(params)

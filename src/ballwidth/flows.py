@@ -63,8 +63,8 @@ class FlowNetwork:
         """Units pushed across the forward direction of a pair so far."""
         return self.cap[slot ^ 1]
 
-    def _bfs(self, s: int, t: int) -> list[int] | None:
-        """BFS levels up to the sink's, or None when the sink is unreachable."""
+    def _bfs(self, s: int, t: int = -1) -> list[int]:
+        """BFS levels from s, -1 where unreached; stops once t is labelled."""
         adj, to, cap = self.adj, self.to, self.cap
         level = [-1] * self.n
         level[s] = 0
@@ -83,14 +83,14 @@ class FlowNetwork:
                                 return level
                             nxt.append(v)
             frontier = nxt
-        return None
+        return level
 
     def max_flow(self, s: int, t: int) -> int:
         if s == t:
             raise ValueError("source and sink must differ")
         adj, to, cap = self.adj, self.to, self.cap
         total = 0
-        while (level := self._bfs(s, t)) is not None:
+        while (level := self._bfs(s, t))[t] >= 0:
             cursor = [0] * self.n
             path: list[int] = []  # slots from s to the walk's head
             u = s
@@ -129,14 +129,9 @@ class FlowNetwork:
         return total
 
     def residual_reachable(self, src: int) -> set[int]:
-        """Nodes reachable from src along positive residual capacity.
+        """The nodes a sinkless `_bfs` from src reaches on positive residuals.
 
         The certificate search names its INFEASIBLE cut with it; the
         antichain min-flow reads its cuts off its final flow instead.
         """
-        adj, to, cap = self.adj, self.to, self.cap
-        seen, frontier = {src}, {src}
-        while frontier:
-            frontier = {to[e] for u in frontier for e in adj[u] if cap[e] > 0} - seen
-            seen |= frontier
-        return seen
+        return {v for v, depth in enumerate(self._bfs(src)) if depth >= 0}

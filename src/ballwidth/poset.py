@@ -67,12 +67,9 @@ class DiagramShape:
     @cached_property
     def leaving(self) -> list[list[int]]:
         """The edge numbers leaving each coordinate index, smallest head first."""
-        edges = self.edges
         leaving: list[list[int]] = [[] for _ in self.coords]
-        for e, (u, _) in enumerate(edges):
+        for e, (u, _) in enumerate(self.edges):
             leaving[self.index[u]].append(e)
-        for out in leaving:
-            out.sort(key=lambda e: edges[e][1])
         return leaving
 
     @cached_property
@@ -198,11 +195,11 @@ def _diagram_shape(coord_list: tuple[Coord, ...]) -> DiagramShape:
     A sphere is the one family whose coordinates all lie on one i + j: it
     steps diagonally, (i, j) -> (i - 1, j + 1); any other set is a ball,
     stepping by a restore (i - 1, j) and a gain (i, j + 1).  Edges come by
-    tail in (i, j) order, restore before gain.  Every step raises the
-    height by one, so with `top` the largest i a ball's heights are
-    top - i + j and a sphere's top - i.  These are the longest-path heights
-    once the endpoints are unique and the source sits at height 0, which
-    is what is checked here; a raise is not cached.
+    tail in (i, j) order, restore before gain, so each tail's heads ascend.
+    Every step raises the height by one, so with `top` the largest i a
+    ball's heights are top - i + j and a sphere's top - i.  These are the
+    longest-path heights once the endpoints are unique and the source sits
+    at height 0, which is what is checked here; a raise is not cached.
     """
     coords = set(coord_list)
     ball = len({i + j for i, j in coords}) > 1

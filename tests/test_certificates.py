@@ -427,7 +427,59 @@ class TestCertifiedWidth:
             certified_width(GroundParams(2, 5, 4))
 
 
+def zigzag_digest(n: int) -> tuple[int, str]:
+    """Hash every zigzag verdict with p, q <= n and 0 <= r <= min(p, q)."""
+    h = hashlib.sha256()
+    count = 0
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            for r in range(min(p, q) + 1):
+                verdict = zigzag_certificate(GroundParams(p, q, r))
+                cert = verdict.certificate
+                h.update(
+                    repr(
+                        (
+                            (p, q, r),
+                            verdict.status,
+                            verdict.diagnostics,
+                            None if cert is None else cert.profiles,
+                            None if cert is None else sorted(cert.coverage.items()),
+                            None if cert is None else cert.target_height,
+                        )
+                    ).encode()
+                )
+                count += 1
+    return count, h.hexdigest()
+
+
 class TestZigzagCertificate:
+    def test_verdicts_are_pinned(self):
+        # status, diagnostics, profiles, coverage (its zeros included) and
+        # target height of every routing up to p, q = 12
+        assert zigzag_digest(12) == (
+            794,
+            "42670892323ed016b5ac1de14797f8593bd8e18b782987e96a8d61368889e00d",
+        )
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize("pick", [0, "middle", -1])
+    @pytest.mark.parametrize("params", [GroundParams(5, 8, 4), GroundParams(4, 5, 3)])
+    def test_unbalanced_routing_raises(self, monkeypatch, params, pick, delta):
+        # one routed edge off by a unit breaks conservation at an inner
+        # coordinate, which the peel refuses before any coverage is read
+        real = certificates._zigzag_flow
+
+        def planted(params, dag, start):
+            flows, note = real(params, dag, start)
+            if flows is not None:
+                edges = sorted(flows)
+                flows[edges[len(edges) // 2 if pick == "middle" else pick]] += delta
+            return flows, note
+
+        monkeypatch.setattr(certificates, "_zigzag_flow", planted)
+        with pytest.raises(InternalConsistencyError, match="stuck|left over|carries"):
+            zigzag_certificate(params)
+
     def test_reference_ball(self):
         verdict = zigzag_certificate(GroundParams(5, 8, 4))
         assert verdict.status == CERTIFIED
@@ -481,6 +533,22 @@ class TestZigzagCertificate:
         assert verdict.status in (CERTIFIED, CERTIFIED_STRICT)
         dag = quotient_dag(params, Ball())
         assert certificate_check(verdict.certificate, dag)
+
+
+@pytest.mark.parametrize(
+    "producer,run",
+    [
+        ("search", lambda: certified_width(GroundParams(5, 8, 4))),
+        ("zigzag", lambda: zigzag_certificate(GroundParams(5, 8, 4))),
+        ("single-point ball", lambda: zigzag_certificate(GroundParams(4, 6, 0))),
+    ],
+)
+def test_failed_check_raises_naming_its_producer(monkeypatch, producer, run):
+    monkeypatch.setattr(certificates, "certificate_check", lambda certificate, dag: False)
+    with pytest.raises(
+        InternalConsistencyError, match=f"^{producer} produced an invalid certificate$"
+    ):
+        run()
 
 
 class TestGkPartition:

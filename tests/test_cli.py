@@ -196,6 +196,12 @@ class TestCertify:
         assert rc == 0
         assert json.loads(out)["status"] == "CERTIFIED_STRICT"
 
+    def test_strict_zigzag_is_usage_error(self, capsys):
+        # the zigzag takes no demand, so a strict verdict cannot come from it
+        rc, out, err = run(["certify", "-p", "6", "-q", "9", "-r", "5", "--method", "zigzag", "--strict"], capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "--strict" in err
+
     def test_tie_exits_4(self, capsys):
         rc, out, _ = run(["certify", "-p", "2", "-q", "2", "-r", "1"], capsys)
         assert rc == 4
@@ -521,6 +527,12 @@ GOLDEN = [
         0,
         "1d30ce3f55eeeeedf765f04f9357f57a95bdcf774bd4812b90d8ecab67858add",
     ),
+    # bad usage: the zigzag takes no demand, so --strict is refused unrun
+    (
+        "certify -p 5 -q 8 -r 4 --method zigzag --strict",
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
     # refused: a tied largest layer, and a zigzag routing that fails
     (
         "certify -p 2 -q 2 -r 1 --format json",
@@ -622,7 +634,8 @@ def test_golden_digest(command, code, digest, capsys, tmp_path):
     poset = tmp_path / "poset.json"
     poset.write_text(json.dumps(CUSTOM_POSET))
     rc, out, err = run(command.replace("{poset}", str(poset)).split(), capsys)
-    assert rc == code and err == ""
+    assert rc == code
+    assert err.startswith("error:") if code == 2 else err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -32,6 +32,18 @@ def brute_min_cut(n: int, arcs, s: int, t: int) -> int:
     )
 
 
+def positive_residual_walk(net: FlowNetwork, src: int) -> set[int]:
+    """Depth-first walk from src over slots with positive residual capacity."""
+    seen, stack = {src}, [src]
+    while stack:
+        u = stack.pop()
+        for e in net.adj[u]:
+            if net.cap[e] > 0 and net.to[e] not in seen:
+                seen.add(net.to[e])
+                stack.append(net.to[e])
+    return seen
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_max_flow_matches_brute_force_min_cut(seed):
     rng = random.Random(seed)
@@ -52,6 +64,9 @@ def test_max_flow_matches_brute_force_min_cut(seed):
     side = net.residual_reachable(s)
     assert t not in side
     assert cut_capacity(arcs, side) == value
+    # and from every node, not only s, it is what a plain walk finds
+    for x in range(n):
+        assert net.residual_reachable(x) == positive_residual_walk(net, x)
 
     assert net.max_flow(s, t) == 0
 
