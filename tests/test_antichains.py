@@ -200,6 +200,8 @@ class TestRandomPosets:
                 max_size=10,
             )
         )
+        perm = data.draw(st.permutations(range(n)))
+        pairs = [(perm[u], perm[v]) for u, v in pairs]
         instance = load_custom_poset(
             {"elements": n, "relations": [list(t) for t in pairs]}
         )
@@ -603,6 +605,8 @@ class TestGridStart:
                 max_size=10,
             )
         )
+        perm = data.draw(st.permutations(range(n)))
+        pairs = [(perm[u], perm[v]) for u, v in pairs]
         weights = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
         instance = load_custom_poset(
             {"elements": n, "relations": [list(t) for t in pairs]}

@@ -14,7 +14,7 @@ from ballwidth.certificates import (
     NOT_APPLICABLE,
     Certificate,
     certificate_check,
-    _peel_profiles,
+    _peel,
     certificate_search,
     certified_width,
     gk_partition,
@@ -162,28 +162,20 @@ class TestCertificateSearch:
 
 
 class TestPeelProfiles:
-    UP, ACROSS = ((1, 0), (0, 0)), ((0, 0), (0, 1))
-
-    def test_flow_off_the_diagram_raises(self, tiny):
-        dag = tiny
-        flow = {self.UP: 1, self.ACROSS: 1, ((1, 0), (0, 1)): 1}
-        with pytest.raises(InternalConsistencyError, match="not a diagram edge"):
-            _peel_profiles(dag, 1, flow)
+    # the tiny diagram's edges by number: 0 is (0, 0) -> (0, 1), 1 is
+    # (1, 0) -> (0, 0), from the source up to the sink
 
     def test_stuck_walk_raises(self, tiny):
-        dag = tiny
         with pytest.raises(InternalConsistencyError, match=r"stuck at \(0, 0\)"):
-            _peel_profiles(dag, 1, {self.UP: 1})
+            _peel(tiny.shape, 1, [0, 1])
 
     def test_leftover_flow_raises(self, tiny):
-        dag = tiny
         with pytest.raises(InternalConsistencyError, match="left over"):
-            _peel_profiles(dag, 1, {self.UP: 2, self.ACROSS: 1})
+            _peel(tiny.shape, 1, [1, 2])
 
     def test_flow_beyond_the_total_raises(self, tiny):
-        dag = tiny
         with pytest.raises(InternalConsistencyError, match="carries 2 chains, not 1"):
-            _peel_profiles(dag, 1, {self.UP: 2, self.ACROSS: 2})
+            _peel(tiny.shape, 1, [2, 2])
 
 
 @st.composite
@@ -234,14 +226,15 @@ class TestResumedPeel:
         if bump and flow:
             flow[min(flow)] += 1
         total += shift
+        remaining = [flow.get(e, 0) for e in dag.edges]
         try:
             expected = restart_peel_profiles(dag, total, flow)
         except ValueError as err:
             with pytest.raises(InternalConsistencyError) as got:
-                _peel_profiles(dag, total, flow)
+                _peel(dag.shape, total, remaining)
             assert str(got.value) == str(err)
         else:
-            assert _peel_profiles(dag, total, flow) == expected
+            assert _peel(dag.shape, total, remaining) == expected
 
 
 def full_search_network(dag, target_height, strict):
@@ -474,6 +467,30 @@ class TestZigzagCertificate:
             if flows is not None:
                 edges = sorted(flows)
                 flows[edges[len(edges) // 2 if pick == "middle" else pick]] += delta
+            return flows, note
+
+        monkeypatch.setattr(certificates, "_zigzag_flow", planted)
+        with pytest.raises(InternalConsistencyError, match="stuck|left over|carries"):
+            zigzag_certificate(params)
+
+    @pytest.mark.parametrize("params", [GroundParams(5, 8, 4), GroundParams(4, 5, 3)])
+    def test_routing_off_the_diagram_raises(self, monkeypatch, params):
+        # no ball has the diagonal step (1, 1) -> (0, 2); a unit moved onto
+        # it from a two-step detour is dropped with the non-edges, which
+        # leaves (1, 1) and (0, 2) unbalanced
+        real = certificates._zigzag_flow
+
+        def planted(params, dag, start):
+            flows, note = real(params, dag, start)
+            if flows is not None:
+                mid = next(
+                    m
+                    for m in [(0, 1), (1, 2)]
+                    if flows.get(((1, 1), m)) and flows.get((m, (0, 2)))
+                )
+                flows[((1, 1), mid)] -= 1
+                flows[(mid, (0, 2))] -= 1
+                flows[((1, 1), (0, 2))] = 1
             return flows, note
 
         monkeypatch.setattr(certificates, "_zigzag_flow", planted)

@@ -450,6 +450,8 @@ class TestCustomPoset:
                 max_size=12,
             )
         )
+        perm = data.draw(st.permutations(range(n)))
+        pairs = [(perm[u], perm[v]) for u, v in pairs]
         calls = {"up_masks": 0}
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
