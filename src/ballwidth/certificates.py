@@ -13,6 +13,11 @@ emit the same Certificate shape, and `_graded` re-validates it with
 certificate_check and grades it before it is returned.  `_peel` is the
 zigzag's conservation proof: it refuses any flow it cannot split.
 
+A strict search starts from route B's cover (`sublayer_chain_cover`)
+where it fits, so its Dinic only confirms it; a plain one starts cold, as
+its grade follows the flow it finds, while any strict flow grades strict.
+Soundness rests on the peel and certificate_check, not on the start.
+
 Everything but the sizes depends on the diagram's coordinate set alone,
 so the search, the peel and the check read what they need off the shared
 `DiagramShape`: coordinate positions, edges leaving each coordinate, the
@@ -34,6 +39,7 @@ from .combinatorics import (
     binomial,
     largest_sphere_sublayer,
     layer_profile,
+    sublayer_chain_cover,
     sublayer_size,
     zigzag_margin,
 )
@@ -250,7 +256,9 @@ def certificate_search(
     certificate; an infeasible one yields a cut diagnostic.  The network's
     arcs come from `_search_layout`, shared by every tuple of this shape
     and target height, with the slots no search takes left out of the
-    adjacency; only the capacities are this tuple's own.
+    adjacency; only the capacities are this tuple's own.  When route B's
+    cover of the strict demand meets the target height exactly, it is the
+    starting flow, every demand arc saturated; elsewhere the search is cold.
     """
     if not 0 <= target_height <= dag.top_height:
         raise ValueError(f"target height {target_height} outside the diagram")
@@ -279,8 +287,22 @@ def certificate_search(
         cap[2 * k] = 0
     cap[circulation + 2 :: 4] = low
     cap[circulation + 4 :: 4] = low
+    preloaded = 0
+    if strict:
+        through, flows = sublayer_chain_cover(dag, dict(zip(coords, low)))
+        over = [through[c] - lo for c, lo in zip(coords, low)]
+        if min(over) < 0:
+            raise InternalConsistencyError("route B under-covers the strict demand")
+        if not any(over[k] for k in targets):
+            # the coordinate, edge and circulation pairs, in layout order,
+            # carry route B's flow, and every demand arc is saturated
+            for j, f in enumerate([*over, *flows, through[dag.sink]]):
+                cap[2 * j] -= f
+                cap[2 * j + 1] = f
+            cap[circulation + 2 :] = [n for lo in low for n in (0, lo, 0, lo)]
+            preloaded = need
     net = FlowNetwork.on_arcs(adj, to, cap)
-    got = net.max_flow(ss, tt)
+    got = preloaded + net.max_flow(ss, tt)
 
     if got < need:
         cut = net.residual_reachable(ss)

@@ -27,6 +27,7 @@ from ballwidth.combinatorics import (
     Sphere,
     build_table,
     layer_profile,
+    sublayer_chain_cover,
     sublayer_size,
 )
 from ballwidth.errors import BudgetExceededError, InternalConsistencyError
@@ -237,8 +238,12 @@ class TestResumedPeel:
             assert _peel(dag.shape, total, remaining) == expected
 
 
-def full_search_network(dag, target_height, strict):
-    """The search network with every slot in every adjacency, built pair by pair."""
+def full_search_network(dag, target_height, strict, start=None):
+    """The search network with every slot in every adjacency, built pair by pair.
+
+    `start`, a chain cover (through, flows) of the demand, is loaded as the
+    starting flow, with every demand arc saturated.
+    """
     coords = dag.coords
     index = {c: k for k, c in enumerate(coords)}
     kk = len(coords)
@@ -248,16 +253,66 @@ def full_search_network(dag, target_height, strict):
         for c, on_target in zip(coords, exact)
     ]
     inf = sum(low) + 1
+    through, flows = start or (dict.fromkeys(coords, 0), [0] * len(dag.edges))
     net = FlowNetwork(2 * kk + 2)
     for k, on_target in enumerate(exact):
-        net.add_pair(2 * k, 2 * k + 1, 0 if on_target else inf, 0)
-    for u, v in dag.edges:
-        net.add_pair(2 * index[u] + 1, 2 * index[v], inf, 0)
-    net.add_pair(2 * index[dag.sink] + 1, 2 * index[dag.source], inf, 0)
+        over = through[coords[k]] - low[k] if start else 0
+        net.add_pair(2 * k, 2 * k + 1, (0 if on_target else inf) - over, over)
+    for (u, v), f in zip(dag.edges, flows):
+        net.add_pair(2 * index[u] + 1, 2 * index[v], inf - f, f)
+    total = through[dag.sink]
+    net.add_pair(2 * index[dag.sink] + 1, 2 * index[dag.source], inf - total, total)
     for k, demand in enumerate(low):
-        net.add_pair(2 * kk, 2 * k + 1, demand, 0)
-        net.add_pair(2 * k, 2 * kk + 1, demand, 0)
+        met = demand if start else 0
+        net.add_pair(2 * kk, 2 * k + 1, demand - met, met)
+        net.add_pair(2 * k, 2 * kk + 1, demand - met, met)
     return net
+
+
+def route_b_start(dag, target_height):
+    """Route B's cover of the strict demand, if it covers the target exactly."""
+    low = {c: n + (dag.height_of[c] != target_height) for c, n in dag.table.sizes.items()}
+    through, flows = sublayer_chain_cover(dag, low)
+    on_target = [c for c in dag.coords if dag.height_of[c] == target_height]
+    if all(through[c] == low[c] for c in on_target):
+        return through, flows
+    return None
+
+
+def cold_strict_summary(dag, target_height):
+    """A strict search's verdict, read off the cold full network's flow.
+
+    (status, diagnostics) when the demand is short, else (status, coverage,
+    profiles), the profiles split by the reference peel.
+    """
+    net = full_search_network(dag, target_height, True)
+    ss, kk = net.n - 2, len(dag.coords)
+    need = sum(net.cap[e] for e in net.adj[ss])
+    got = net.max_flow(ss, ss + 1)
+    if got < need:
+        cut = net.residual_reachable(ss)
+        pinched = sorted(
+            c for k, c in enumerate(dag.coords) if (2 * k in cut) != (2 * k + 1 in cut)
+        )
+        return INFEASIBLE, (
+            f"no covering chain family: demand is short by {need - got} "
+            f"units against the cut at {pinched}"
+        )
+    off = [c for c in dag.coords if dag.height_of[c] != target_height]
+    coverage = {
+        c: dag.table.sizes[c] + (c in off) + net.flow_on(2 * k)
+        for k, c in enumerate(dag.coords)
+    }
+    edge_flow = {e: net.flow_on(2 * kk + 2 * n) for n, e in enumerate(dag.edges)}
+    total = net.flow_on(2 * kk + 2 * len(dag.edges))
+    profiles = tuple(restart_peel_profiles(dag, total, edge_flow))
+    return CERTIFIED_STRICT if off else CERTIFIED, coverage, profiles
+
+
+def strict_summary(verdict):
+    if verdict.status == INFEASIBLE:
+        return verdict.status, verdict.diagnostics
+    return verdict.status, verdict.certificate.coverage, verdict.certificate.profiles
 
 
 class TestSharedLayout:
@@ -273,6 +328,7 @@ class TestSharedLayout:
 
         monkeypatch.setattr(FlowNetwork, "on_arcs", classmethod(on_arcs))
         statuses = set()
+        warm = 0
         for p in range(1, 7):
             for q in range(1, 7):
                 for r in range(min(p, q) + 1):
@@ -281,7 +337,11 @@ class TestSharedLayout:
                         for strict in (False, True):
                             verdict = certificate_search(dag, height, strict)
                             statuses.add(verdict.status)
-                            full = full_search_network(dag, height, strict)
+                            # a strict search starts from route B's cover
+                            # when that cover fits, and cold otherwise
+                            start = route_b_start(dag, height) if strict else None
+                            warm += start is not None
+                            full = full_search_network(dag, height, strict, start)
                             ss = full.n - 2
                             full.max_flow(ss, ss + 1)
                             assert nets[-1].to == full.to
@@ -290,6 +350,7 @@ class TestSharedLayout:
                                 ss
                             ) == full.residual_reachable(ss)
         assert statuses == {CERTIFIED, CERTIFIED_STRICT, INFEASIBLE}
+        assert warm > 0
 
 
 def verdict_summary(verdict, size):
@@ -346,14 +407,14 @@ class TestSharedShapes:
             assert not certificate_check(verdict.certificate, dags[other])
 
 
-def certified_width_digest(n: int) -> tuple[int, str]:
-    """Hash every verdict with p, q <= n and 1 <= r <= min(p, q), both modes."""
+def certified_width_digest(n: int, modes=(False, True)) -> tuple[int, str]:
+    """Hash every verdict with p, q <= n and 1 <= r <= min(p, q) in `modes`."""
     h = hashlib.sha256()
     count = 0
     for p in range(1, n + 1):
         for q in range(1, n + 1):
             for r in range(1, min(p, q) + 1):
-                for strict in (False, True):
+                for strict in modes:
                     verdict, _ = certified_width(GroundParams(p, q, r), strict)
                     cert = verdict.certificate
                     h.update(
@@ -371,13 +432,109 @@ def certified_width_digest(n: int) -> tuple[int, str]:
     return count, h.hexdigest()
 
 
+def strict_status_digest(n: int) -> tuple[int, str]:
+    """Hash every strict search's status with p, q <= n, every radius up to
+    p + q and every target height, with the cut of each INFEASIBLE one."""
+    h = hashlib.sha256()
+    count = 0
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            for r in range(p + q + 1):
+                dag = quotient_dag(GroundParams(p, q, r), Ball())
+                for t in range(dag.top_height + 1):
+                    verdict = certificate_search(dag, t, strict=True)
+                    cut = verdict.diagnostics if verdict.status == INFEASIBLE else None
+                    h.update(repr((p, q, r, t, verdict.status, cut)).encode())
+                    count += 1
+    return count, h.hexdigest()
+
+
+class TestStrictStart:
+    def test_statuses_are_pinned(self):
+        # a strict grade holds for every feasible strict flow, and an
+        # INFEASIBLE search starts cold: neither moves with the start
+        assert strict_status_digest(8) == (
+            5152,
+            "4eeed4c46a3ae6d89503c708834367612d4d4093a0cf39e55db9535a93573f25",
+        )
+
+    def test_untied_balls_take_the_warm_start(self, monkeypatch):
+        # the loaded cover saturates every demand arc, so Dinic finds no
+        # path in its first search; a cold start needs more than one
+        runs = []
+        real_max_flow, real_bfs = FlowNetwork.max_flow, FlowNetwork._bfs
+
+        def max_flow(self, s, t):
+            runs.append([0, 0])
+            runs[-1][0] = real_max_flow(self, s, t)
+            return runs[-1][0]
+
+        def bfs(self, s, t=-1):
+            runs[-1][1] += 1
+            return real_bfs(self, s, t)
+
+        monkeypatch.setattr(FlowNetwork, "max_flow", max_flow)
+        monkeypatch.setattr(FlowNetwork, "_bfs", bfs)
+        untied = 0
+        for p in range(1, 9):
+            for q in range(1, 9):
+                for r in range(min(p, q) + 1):
+                    verdict, _ = certified_width(GroundParams(p, q, r), strict=True)
+                    if verdict.status == NOT_APPLICABLE:
+                        continue
+                    untied += 1
+                    assert verdict.status in (CERTIFIED, CERTIFIED_STRICT)
+                    assert runs[-1] == [0, 1], (p, q, r)
+        assert untied == len(runs) == 248
+
+    @pytest.mark.parametrize("plant", ["short sublayer", "short edge", "covered target"])
+    def test_planted_cover_cannot_move_a_verdict(self, monkeypatch, plant):
+        # a bad route-B cover either raises or leaves the cold verdict
+        real = certificates.sublayer_chain_cover
+
+        def planted(dag, demand):
+            through, flows = real(dag, demand)
+            through, flows = dict(through), list(flows)
+            if plant == "short sublayer":
+                through[dag.sink] = demand[dag.sink] - 1
+            elif plant == "short edge" and flows:
+                flows[-1] -= 1
+            elif plant == "covered target":
+                through = {c: n + 1 for c, n in through.items()}
+            return through, flows
+
+        monkeypatch.setattr(certificates, "sublayer_chain_cover", planted)
+        searches = raised = 0
+        for p in range(1, 6):
+            for q in range(1, 6):
+                for r in range(min(p, q) + 1):
+                    dag = quotient_dag(GroundParams(p, q, r), Ball())
+                    for t in range(dag.top_height + 1):
+                        searches += 1
+                        try:
+                            verdict = certificate_search(dag, t, strict=True)
+                        except InternalConsistencyError as err:
+                            if plant == "short sublayer":
+                                assert "route B" in str(err)
+                            raised += 1
+                            continue
+                        assert strict_summary(verdict) == cold_strict_summary(dag, t)
+        if plant == "short sublayer":
+            assert raised == searches
+        elif plant == "covered target":
+            assert raised == 0
+        else:  # it raises where the cover fits and would be loaded
+            assert 0 < raised < searches
+
+
 class TestCertifiedWidth:
     def test_verdicts_are_pinned(self):
-        # the certificate follows the flow Dinic finds, so any change to the
-        # augmenting order, the network's arc order or the peel moves this
+        # a plain certificate follows the flow Dinic finds, and a strict one
+        # route B's cover wherever it fits, so any change to the augmenting
+        # order, the network's arc order, route B or the peel moves this
         assert certified_width_digest(10) == (
             770,
-            "7021cbf1859d22d587c6fcf1b9f76cb716aed0f93c0a580c87ecdcbbc5a49cf5",
+            "76005f0963560eb87afe74a1c5ec02d298f1a2baaf116639559a3963c0ec5d32",
         )
 
     def test_reference_ball(self):

@@ -510,12 +510,12 @@ GOLDEN = [
     (
         "certify -p 5 -q 8 -r 4 --strict --format json",
         0,
-        "9578a555f87168936fbd493b3808d877655d9d5a0e0001794768578a9d5693fa",
+        "cd18fb8ca417915cdfb8ba544840ded5be939a3f052f13be4695a625681b8afa",
     ),
     (
         "certify -p 5 -q 8 -r 4 --strict --format text",
         0,
-        "7c020dd3808665d2fb0e314cfd0d69869a62ea2ece65f64b0edd98f4a93d9174",
+        "e5999d54f693417c7f9e60ebe5991a3ff857b93bce090c09e5bf938a40bc34bc",
     ),
     (
         "certify -p 5 -q 8 -r 4 --method zigzag --format json",

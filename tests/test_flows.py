@@ -109,6 +109,54 @@ def test_shared_arcs_without_unusable_slots_give_the_same_flow(seed):
     assert shared.adj == kept and shared.to == net.to
 
 
+def random_preload(rng: random.Random, net: FlowNetwork, s: int, t: int) -> int:
+    """Push random amounts along random residual s-t paths; returns the total."""
+    total = 0
+    for _ in range(rng.randint(1, 3)):
+        path: list[int] = []
+        seen, stack = {s}, [list(net.adj[s])]
+        while stack and (not path or net.to[path[-1]] != t):
+            arcs = [e for e in stack[-1] if net.cap[e] > 0 and net.to[e] not in seen]
+            if not arcs:  # dead end: back out of the last arc
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            e = rng.choice(arcs)
+            stack[-1].remove(e)
+            seen.add(net.to[e])
+            path.append(e)
+            stack.append(list(net.adj[net.to[e]]))
+        if not path:
+            break
+        pushed = rng.randint(1, min(net.cap[e] for e in path))
+        for e in path:
+            net.cap[e] -= pushed
+            net.cap[e ^ 1] += pushed
+        total += pushed
+    return total
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_preloaded_flow_is_completed_to_the_maximum(seed):
+    # a search handed a feasible maximum confirms it and changes nothing;
+    # handed part of one, it adds exactly what the cold search would
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    net, _ = random_network(rng, n)
+    s, t = rng.sample(range(n), 2)
+    cold = FlowNetwork.on_arcs(net.adj, net.to, net.cap[:])
+    value = cold.max_flow(s, t)
+
+    done = FlowNetwork.on_arcs(net.adj, net.to, cold.cap[:])
+    assert done.max_flow(s, t) == 0
+    assert done.cap == cold.cap
+
+    preloaded = random_preload(rng, net, s, t)
+    assert all(c >= 0 for c in net.cap)
+    assert preloaded + net.max_flow(s, t) == value
+
+
 def test_invalid_input_raises():
     net = FlowNetwork(2)
     with pytest.raises(ValueError, match="differ"):
