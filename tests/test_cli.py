@@ -625,6 +625,13 @@ GOLDEN = [
         0,
         "9e737affa612732938aeed3b55bee066adc8ad0e372964d9affe6fc3af318f1b",
     ),
+    # both budgets at 300: 66 OVER_BUDGET rows among in-budget ones, truncated
+    # radii and ties, so the band boundary is crossed both ways
+    (
+        "sweep --p-max 6 --q-max 6 --general --budget 300 --format csv",
+        0,
+        "8a29980022c451e5ea8b319e1a35b43189f85989fe7ff867b2168ab9863c1b42",
+    ),
 ]
 CUSTOM_POSET = {"elements": 6, "relations": [[0, 2], [1, 2], [2, 3], [2, 4], [4, 5]]}
 
@@ -637,6 +644,21 @@ def test_golden_digest(command, code, digest, capsys, tmp_path):
     assert rc == code
     assert err.startswith("error:") if code == 2 else err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_budget_300_log_digest(capsys, tmp_path):
+    # the record log of the budget-300 sweep above, each line's timing set to
+    # 0: the lines keep their key order, so reordered record fields fail here
+    log = tmp_path / "log.jsonl"
+    argv = "sweep --p-max 6 --q-max 6 --general --budget 300 --format csv --out"
+    rc, _, _ = run([*argv.split(), str(log)], capsys)
+    lines = log.read_text().splitlines()
+    timeless = "".join(
+        json.dumps({**json.loads(line), "elapsed_ms": 0}) + "\n" for line in lines
+    )
+    assert rc == 0 and len(lines) == 273
+    digest = "cb1c78b2c61bbddf6c5881f584fe6e6eae0a077c00efa80aeb85af2216a3d8af"
+    assert hashlib.sha256(timeless.encode()).hexdigest() == digest
 
 
 # every command whose --out takes its document; sweep's --out is its record log
