@@ -1,10 +1,11 @@
 """Exhaustive verification over parameter ranges, with resumable logs.
 
-One record per (p, q, r): the ball is built, the width is computed by two
-independent engines, the largest layer is compared against it, uniqueness
-is decided from the flow cuts and rechecked against the tie count of the
-heaviest chain on the sublayer grid, and the certificate, normalized-weight
-and theorem-bound checks are run where they apply.
+One record per (p, q, r).  The diagram stage reads the ball's layer profile
+on every tuple.  Within both budgets, the element stage compares the
+largest layer with the width from two independent engines and the heaviest
+sublayer chain, decides uniqueness by flow cuts and that chain's tie count,
+and runs the certificate and theorem-bound checks where they apply; the
+sphere stage then checks the top sphere's normalized weights.
 
 Records append to a JSON-lines file as they finish, so an interrupted
 sweep resumes by skipping tuples already on disk.  Each record states the
@@ -47,6 +48,11 @@ SKIPPED = "SKIPPED"
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One tuple's verdict, each field from the stage deciding it: the diagram
+    stage the four up to tie, the sphere stage klym_sphere, the element stage
+    the rest up to status.  A stage or check that did not run leaves its default.
+    """
+
     p: int
     q: int
     r: int
@@ -54,13 +60,13 @@ class SweepRecord:
     largest_layer_height: int
     largest_layer_size: str
     tie: bool
-    width: str | None
-    unique: bool | None
-    certificate: str
-    klym_sphere: bool | None
-    theorem_bound_ok: bool | None
-    status: str
-    elapsed_ms: int
+    width: str | None = None
+    unique: bool | None = None
+    certificate: str = SKIPPED
+    klym_sphere: bool | None = None
+    theorem_bound_ok: bool | None = None
+    status: str = OVER_BUDGET
+    elapsed_ms: int = 0
     # None in logs written before records stated their budgets
     element_budget: int | None = None
     matching_budget: int | None = None
@@ -70,7 +76,11 @@ class SweepRecord:
 
     @classmethod
     def from_line(cls, line: str) -> "SweepRecord":
-        return cls(**json.loads(line))
+        fields = json.loads(line)
+        missing = set(cls.__dataclass_fields__) - set(fields)
+        if not missing <= {"element_budget", "matching_budget"}:  # older logs lack them
+            raise TypeError(f"a sweep record without {sorted(missing)}")
+        return cls(**fields)
 
     def key(self) -> tuple[int, int, int]:
         return (self.p, self.q, self.r)
@@ -93,84 +103,73 @@ def verify_instance(
 def _verify(
     p: int, q: int, r: int, element_budget: int, matching_budget: int
 ) -> SweepRecord:
+    """The record of one tuple, from the stages its budget band runs: past
+    either budget the diagram stage alone; within both, then the element
+    stage and, once the ball and its closure are dropped, the sphere stage,
+    so a tuple peaks at its matching, not at the sum of its stages.
+    """
     params = GroundParams(p, q, r)
     start = time.perf_counter()
-    dag, profile, width_value, unique, cert_status, bound_ok = _check_ball(
-        params, element_budget, matching_budget
-    )
-    klym: bool | None = None
-    if width_value is not None:
-        # the top shell of a ball within budget fits it too; build_sphere checks
-        klym = check_klym(build_sphere(params, min(r, p + q), element_budget)).holds
-
-    if width_value is None:
-        status = OVER_BUDGET
-    elif width_value != profile.max_size:
-        status = COUNTEREXAMPLE
-    elif profile.tie:
-        status = TIE
-    else:
-        status = VERIFIED_UNIQUE if unique else COUNTEREXAMPLE
-
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return SweepRecord(
-        p=p,
-        q=q,
-        r=r,
-        ball_size=str(dag.table.total),
-        largest_layer_height=profile.argmax[0],
-        largest_layer_size=str(profile.max_size),
-        tie=profile.tie,
-        width=None if width_value is None else str(width_value),
-        unique=unique,
-        certificate=cert_status,
-        klym_sphere=klym,
-        theorem_bound_ok=bound_ok,
-        status=status,
-        elapsed_ms=elapsed_ms,
-        element_budget=element_budget,
-        matching_budget=matching_budget,
-    )
-
-
-def _check_ball(params: GroundParams, element_budget: int, matching_budget: int):
-    """(dag, profile, width, unique, certificate, theorem bound ok) of a ball.
-
-    The matching, flow and sublayer-chain widths are compared here alone.
-    The ball and its flows die with this call, and its closure inside the
-    matching, so none is held while the top sphere is built and checked:
-    a tuple peaks at its matching, not at the sum of its stages.  Past
-    either budget only the diagram is built, and nothing is checked.
-    """
     try:  # within both budgets: the ball's own diagram serves the record
-        instance = build_ball(params, min(element_budget, matching_budget))
+        ball = build_ball(params, min(element_budget, matching_budget))
     except BudgetExceededError:
-        dag = quotient_dag(params, Ball())
-        return dag, layer_profile(dag), None, None, SKIPPED, None
-    dag = instance.dag
-    profile = layer_profile(dag)
+        _, fields = _diagram_stage(quotient_dag(params, Ball()))
+    else:
+        profile, fields = _diagram_stage(ball.dag)
+        fields.update(_element_stage(params, ball, profile, matching_budget))
+        del ball  # nothing of it is held while the top sphere is built
+        fields.update(_sphere_stage(params, element_budget))
+    elapsed_ms = int((time.perf_counter() - start) * 1000)
+    budgets = {"element_budget": element_budget, "matching_budget": matching_budget}
+    return SweepRecord(p, q, r, **fields, elapsed_ms=elapsed_ms, **budgets)
 
-    width_value, _ = width(instance, matching_budget)
-    flow_value, _ = flow_width(instance)
-    grid_value, grid_count = heaviest_sublayer_chain(dag.table)
+
+def _diagram_stage(dag) -> tuple:
+    """The ball's layer profile, and the record fields it decides."""
+    profile = layer_profile(dag)
+    return profile, {
+        "ball_size": str(dag.table.total),
+        "largest_layer_height": profile.argmax[0],
+        "largest_layer_size": str(profile.max_size),
+        "tie": profile.tie,
+    }
+
+
+def _element_stage(params: GroundParams, ball, profile, matching_budget: int) -> dict:
+    """The ball's element fields; its three widths are compared here alone."""
+    width_value, _ = width(ball, matching_budget)
+    flow_value, _ = flow_width(ball)
+    grid_value, grid_count = heaviest_sublayer_chain(ball.dag.table)
     if not width_value == flow_value == grid_value:
         raise InternalConsistencyError(
             f"matching width {width_value} vs flow width {flow_value} "
             f"vs sublayer chain weight {grid_value}"
         )
-    unique: bool | None = None
-    if width_value == profile.max_size and not profile.tie:
-        layer = [k for k, h in enumerate(instance.height_of) if h == profile.argmax[0]]
-        unique = is_unique_max_antichain(instance, layer)
+    fields = {"width": str(width_value)}
+    if width_value != profile.max_size:
+        status = COUNTEREXAMPLE
+    elif profile.tie:
+        status = TIE
+    else:
+        layer = [k for k, h in enumerate(ball.height_of) if h == profile.argmax[0]]
+        unique = is_unique_max_antichain(ball, layer)
         if unique != (grid_count == 1):
             raise InternalConsistencyError("uniqueness engines disagree")
-    cert_status, bound_ok = SKIPPED, None
-    if params.r <= min(params.p, params.q):
-        cert_status = NOT_APPLICABLE
+        fields["unique"] = unique
+        status = VERIFIED_UNIQUE if unique else COUNTEREXAMPLE
+    if params.r <= min(params.p, params.q):  # truncated radii keep the defaults
+        certificate = NOT_APPLICABLE
         if not profile.tie:
-            cert_status = certificate_search(dag, profile.argmax[0]).status
+            certificate = certificate_search(ball.dag, profile.argmax[0]).status
         bound_ok = width_value <= theorem_bound(params)
-    return dag, profile, width_value, unique, cert_status, bound_ok
+        fields.update(certificate=certificate, theorem_bound_ok=bound_ok)
+    return {**fields, "status": status}
+
+
+def _sphere_stage(params: GroundParams, element_budget: int) -> dict:
+    """klym_sphere of the top shell, in budget if the ball is; build_sphere checks."""
+    top = build_sphere(params, min(params.r, params.p + params.q), element_budget)
+    return {"klym_sphere": check_klym(top).holds}
 
 
 def sweep_tuples(

@@ -262,6 +262,19 @@ class TestSweepRange:
         with pytest.raises(ValueError, match="unreadable sweep record"):
             sweep_range(2, 2, out_path=path, resume=True)
 
+    def test_line_without_a_stage_field_is_an_error(self, tmp_path):
+        # the stage fields have defaults, but a logged line must state them;
+        # only the budgets may be missing, as in logs written before them
+        path = tmp_path / "records.jsonl"
+        sweep_range(2, 2, out_path=path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        del record["status"]
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="unreadable sweep record"):
+            sweep_range(2, 2, out_path=path, resume=True)
+
     @pytest.mark.parametrize("tail", ["{broken\n", "notes, no newline"])
     def test_unreadable_last_line_is_refused_untouched(self, tmp_path, tail):
         # an interrupted append leaves no newline, and a prefix of a record:
@@ -599,3 +612,68 @@ class TestBuildsPerTuple:
         [(ball_dead, traced)] = at_sphere
         assert ball_dead
         assert traced < 2**20, f"{traced / 2**20:.2f} MB traced at build_sphere"
+
+
+class TestStageSeams:
+    # the general sweep of p, q <= 6 with both budgets at 300: 273 tuples,
+    # 66 of them OVER_BUDGET and 207 within budget
+    STAGES = ["_diagram_stage", "_element_stage", "_sphere_stage"]
+    DEEP = ["build_sphere", "flow_width", "certificate_search"]
+
+    def sweep(self):
+        records, _ = sweep_range(
+            6, 6, general=True, element_budget=300, matching_budget=300
+        )
+        return records
+
+    def test_each_stage_wraps_unedited(self, monkeypatch):
+        # a pass-through on every stage and on the deep calls behind them,
+        # each noting the tuple it runs on, leaves the records as they were
+        import ballwidth.sweep as sweep_module
+        from ballwidth.flows import FlowNetwork
+
+        unwrapped = self.sweep()
+        current, reached = [None], {}
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                reached.setdefault(current[0], []).append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        genuine = sweep_module._verify
+
+        def verify(p, q, r, element_budget, matching_budget):
+            current[0] = (p, q, r)
+            return genuine(p, q, r, element_budget, matching_budget)
+
+        monkeypatch.setattr(sweep_module, "_verify", verify)
+        for name in self.STAGES:
+            stage = getattr(sweep_module, name)
+            monkeypatch.setattr(sweep_module, name, spy(name, stage))
+        for name in self.DEEP:
+            original = getattr(sweep_module, name)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.split(".")[0] != "ballwidth":
+                    continue
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, spy(name, original))
+        monkeypatch.setattr(FlowNetwork, "max_flow", spy("max_flow", FlowNetwork.max_flow))
+        records = self.sweep()
+
+        assert canonical(records) == canonical(unwrapped)
+        over = {r.key() for r in records if r.status == "OVER_BUDGET"}
+        assert (len(records), len(over)) == (273, 66)
+        stages = {
+            key: [name for name in names if name in self.STAGES]
+            for key, names in reached.items()
+        }
+        assert stages == {
+            r.key(): self.STAGES[:1] if r.key() in over else self.STAGES for r in records
+        }
+        deep = {key: set(names) - set(self.STAGES) for key, names in reached.items()}
+        assert all(not deep[key] for key in over)
+        # the spies are live: every deep call is reached within budget
+        assert set().union(*deep.values()) == {*self.DEEP, "max_flow"}
