@@ -19,16 +19,19 @@ its grade follows the flow it finds, while any strict flow grades strict.
 Soundness rests on the peel and certificate_check, not on the start.
 
 Everything but the sizes depends on the diagram's coordinate set alone,
-so the search, the peel and the check read what they need off the shared
-`DiagramShape`: coordinate positions, edges leaving each coordinate, the
-edge steps as position pairs, and one search-network layout per target
-height, whose adjacency leaves out the slots no search takes.  Each tuple
-brings only its sizes and its network's capacities.
+so route B, the search, the peel, the check and the grade read what they
+need off the shared `DiagramShape`: coordinate positions, each height's
+run of them, route B's order and edge tails, edges leaving each
+coordinate, the edge steps as position pairs, and one search-network
+layout per target height, whose adjacency leaves out the slots no search
+takes.  Each tuple brings only its sizes and its network's capacities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import gt, sub
 
 from .combinatorics import (
     Ball,
@@ -81,7 +84,7 @@ def certificate_check(certificate: Certificate, dag: QuotientDag) -> bool:
     well-formed certificate simply fails an invariant.
     """
     shape = dag.shape
-    coords, index, height_of = shape.coords, shape.index, shape.height_of
+    coords, index, bounds = shape.coords, shape.index, shape.layer_bounds
     if not 0 <= certificate.target_height <= dag.top_height:
         raise ValueError(
             f"target height {certificate.target_height} outside the diagram"
@@ -114,24 +117,16 @@ def certificate_check(certificate: Certificate, dag: QuotientDag) -> bool:
         for k in path:
             accumulated[k] += mult
 
-    coverage = certificate.coverage
-    if any(n != coverage.get(c, 0) for c, n in zip(coords, accumulated)):
+    if accumulated != list(map(certificate.coverage.get, coords, repeat(0))):
         return False
 
-    per_height: dict[int, int] = {}
-    for c, n in zip(coords, accumulated):
-        h = height_of[c]
-        per_height[h] = per_height.get(h, 0) + n
-    if len(set(per_height.values())) > 1:
+    # coordinates come by height, so each height's count sums one run
+    if len({sum(accumulated[a:b]) for a, b in zip(bounds, bounds[1:])}) > 1:
         return False
 
-    sizes = [dag.table.sizes[c] for c in coords]
-    target = certificate.target_height
-    if any(
-        n != size
-        for c, n, size in zip(coords, accumulated, sizes)
-        if height_of[c] == target
-    ):
+    sizes = list(map(dag.table.sizes.__getitem__, coords))
+    a, b = bounds[certificate.target_height : certificate.target_height + 2]
+    if accumulated[a:b] != sizes[a:b]:
         return False
     # the (non-empty) target is covered at rate exactly 1, so meeting its
     # rate N_c / |X_c| >= N_c* / |X_c*| means covering each sublayer fully
@@ -146,8 +141,11 @@ def _graded(certificate: Certificate, dag: QuotientDag, producer: str) -> str:
     """
     if not certificate_check(certificate, dag):
         raise InternalConsistencyError(f"{producer} produced an invalid certificate")
-    off = [c for c in dag.coords if dag.height_of[c] != certificate.target_height]
-    if off and all(certificate.coverage.get(c, 0) > dag.table.sizes[c] for c in off):
+    coords, target = dag.shape.coords, certificate.target_height
+    a, b = dag.shape.layer_bounds[target : target + 2]  # the target's run
+    have = map(certificate.coverage.get, coords, repeat(0))
+    over = list(map(gt, have, map(dag.table.sizes.__getitem__, coords)))
+    if b - a < len(coords) and all(over[:a]) and all(over[b:]):
         return CERTIFIED_STRICT
     return CERTIFIED
 
@@ -290,15 +288,15 @@ def certificate_search(
     preloaded = 0
     if strict:
         through, flows = sublayer_chain_cover(dag, dict(zip(coords, low)))
-        over = [through[c] - lo for c, lo in zip(coords, low)]
+        over = list(map(sub, map(through.__getitem__, coords), low))
         if min(over) < 0:
             raise InternalConsistencyError("route B under-covers the strict demand")
         if not any(over[k] for k in targets):
             # the coordinate, edge and circulation pairs, in layout order,
             # carry route B's flow, and every demand arc is saturated
-            for j, f in enumerate([*over, *flows, through[dag.sink]]):
-                cap[2 * j] -= f
-                cap[2 * j + 1] = f
+            loaded = [*over, *flows, through[dag.sink]]
+            cap[: circulation + 2 : 2] = map(sub, cap[: circulation + 2 : 2], loaded)
+            cap[1 : circulation + 2 : 2] = loaded
             cap[circulation + 2 :] = [n for lo in low for n in (0, lo, 0, lo)]
             preloaded = need
     net = FlowNetwork.on_arcs(adj, to, cap)

@@ -163,7 +163,8 @@ def sublayer_chain_cover(dag, demand: dict[Coord, int]) -> tuple[dict[Coord, int
     the rest at the source; chains still open at the end go to the
     sink.  A chain steps from a to b by restores down a's column, then
     gains along b's row, inside the ball at every radius; the steps add up
-    in one difference array per column and one per row.
+    in one difference array per column and one per row.  The order and
+    each edge's tail are the plans of the diagram's shape.
     """
     if isinstance(dag.table.family, Sphere):
         top = max(demand.values())
@@ -171,50 +172,54 @@ def sublayer_chain_cover(dag, demand: dict[Coord, int]) -> tuple[dict[Coord, int
     (bottom, _), (_, right) = dag.source, dag.sink
     down = [[0] * (bottom + 1) for _ in range(right + 1)]  # restores, by column and row
     gain = [[0] * (right + 1) for _ in range(bottom + 1)]  # gains, by row and column
-
-    def route(a: Coord, b: Coord, m: int) -> None:
-        down[a[1]][a[0]] += m
-        down[a[1]][b[0]] -= m
-        gain[b[0]][a[1]] += m
-        gain[b[0]][b[1]] -= m
-
-    tails: list[list[list[int]]] = [[] for _ in range(right + 1)]  # [row, chains], nearest row last
-    value = 0
-    for i, j in sorted(dag.coords, key=lambda c: (-c[0], c[1])):
-        left = demand[i, j]
+    # [row, chains] open at each column, nearest row last; the source sits
+    # below them all in column 0, with more chains than the demand takes
+    tails: list[list[list[int]]] = [[] for _ in range(right + 1)]
+    spare = sum(demand.values()) + 1
+    tails[0].append([bottom, spare])
+    for i, j in dag.shape.route_order:
+        need = left = demand[i, j]
         if not left:
             continue
+        # a chain from (row, col) adds m at down[col][row] and gain[i][col],
+        # and takes it off at down[col][i] and, all at once, at gain[i][j]
+        gain[i][j] -= need
         for col in range(j, -1, -1):
-            stack = tails[col]
+            stack, column = tails[col], down[col]
             while left and stack:
                 tail = stack[-1]
-                m = min(tail[1], left)
-                route((tail[0], col), (i, j), m)
-                left -= m
-                tail[1] -= m
-                if not tail[1]:
+                m = tail[1]
+                if m > left:
+                    m = left
+                    tail[1] -= m
+                else:
                     stack.pop()
+                column[tail[0]] += m
+                column[i] -= m
+                gain[i][col] += m
+                left -= m
             if not left:
                 break
-        if left:
-            route(dag.source, (i, j), left)
-            value += left
-        tails[j].append([i, demand[i, j]])
-    for col, stack in enumerate(tails):
+        tails[j].append([i, need])
+    value = spare - tails[0].pop(0)[1]
+    for col, stack in enumerate(tails):  # into the sink (0, right)
         for row, m in stack:
-            route((row, col), dag.sink, m)
+            down[col][row] += m
+            down[col][0] -= m
+            gain[0][col] += m
+    gain[0][right] -= value
 
     # a restore out of (i, j) carries the chains from rows >= i; a gain the
     # chains from columns <= j
     down = [list(accumulate(reversed(column)))[::-1] for column in down]
     gain = [list(accumulate(row)) for row in gain]
-    through = dict.fromkeys(dag.coords, 0)
-    through[dag.sink] = value
+    through = [0] * len(dag.coords)
+    through[-1] = value  # the sink comes last
     flows = []
-    for (i, j), (ti, _) in dag.edges:
-        flows.append(down[j][i] if ti < i else gain[i][j])
-        through[i, j] += flows[-1]
-    return through, flows
+    for k, i, j, restore in dag.shape.route_edges:
+        flows.append(down[j][i] if restore else gain[i][j])
+        through[k] += flows[-1]
+    return dict(zip(dag.coords, through)), flows
 
 
 def _heavier(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -248,13 +253,13 @@ def layer_profile(dag) -> LayerProfile:
     """Total sublayer size per height of a family's `poset.QuotientDag`.
 
     The heights are the diagram's closed form, so this holds in every
-    regime, truncated radii included.
+    regime, truncated radii included.  Every height from 0 to the top holds
+    a sublayer, and `height_of` lists them in the table's order.
     """
-    agg: dict[int, int] = {}
-    for c, size in dag.table.sizes.items():
-        h = dag.height_of[c]
-        agg[h] = agg.get(h, 0) + size
-    return profile_from_sizes(agg)
+    agg = [0] * (dag.top_height + 1)
+    for h, size in zip(dag.height_of.values(), dag.table.sizes.values()):
+        agg[h] += size
+    return profile_from_sizes(dict(enumerate(agg)))
 
 
 def ratio(params: GroundParams, i: int, j: int) -> Fraction:

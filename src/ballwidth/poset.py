@@ -12,7 +12,7 @@ step, both at once.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
@@ -40,11 +40,12 @@ class DiagramShape:
 
     The coordinates in (height, i, j) order, the edges, the endpoints and
     the closed-form heights (see `_diagram_shape`) are read-only: every
-    diagram with this coordinate set holds the same lists and dict.  The
-    index-space views that the certificate machinery reads are built on
-    first use, so a shape that is only swept never carries them;
-    `search_layouts` holds the certificate search's network layouts, one
-    per target height.
+    diagram with this coordinate set holds the same lists and dict, and
+    `height_of` lists the coordinates in their tables' order.  The plans
+    that route B and the certificate machinery read, in positions of
+    `coords`, are built on first use, so a shape that neither reaches
+    carries none; `search_layouts` holds the certificate search's network
+    layouts, one per target height.
     """
 
     coords: list[Coord]
@@ -58,6 +59,22 @@ class DiagramShape:
     def index(self) -> dict[Coord, int]:
         """Each coordinate's position in `coords`."""
         return {c: k for k, c in enumerate(self.coords)}
+
+    @cached_property
+    def layer_bounds(self) -> list[int]:
+        """Where each height's run of `coords` starts, then len(coords)."""
+        heights = list(map(self.height_of.__getitem__, self.coords))  # ascending
+        return [bisect_left(heights, h) for h in range(heights[-1] + 2)]
+
+    @cached_property
+    def route_order(self) -> list[Coord]:
+        """Route B's greedy order: rows i descending, each row's columns ascending."""
+        return sorted(self.coords, key=lambda c: (-c[0], c[1]))
+
+    @cached_property
+    def route_edges(self) -> list[tuple[int, int, int, bool]]:
+        """Each edge's tail as (position, i, j), and whether it is a restore."""
+        return [(self.index[u], *u, v[0] < u[0]) for u, v in self.edges]
 
     @cached_property
     def heads(self) -> list[int]:

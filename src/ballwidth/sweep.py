@@ -93,7 +93,7 @@ def verify_instance(
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
     matching_budget: int = DEFAULT_MATCHING_BUDGET,
 ) -> SweepRecord:
-    """The record of one tuple; an internal error names the tuple."""
+    """The record of one tuple; an internal error names the tuple and stage."""
     try:
         return _verify(p, q, r, element_budget, matching_budget)
     except InternalConsistencyError as exc:
@@ -113,15 +113,23 @@ def _verify(
     try:  # within both budgets: the ball's own diagram serves the record
         ball = build_ball(params, min(element_budget, matching_budget))
     except BudgetExceededError:
-        _, fields = _diagram_stage(quotient_dag(params, Ball()))
+        _, fields = _staged("diagram", _diagram_stage, quotient_dag(params, Ball()))
     else:
-        profile, fields = _diagram_stage(ball.dag)
-        fields.update(_element_stage(params, ball, profile, matching_budget))
+        profile, fields = _staged("diagram", _diagram_stage, ball.dag)
+        fields.update(_staged("element", _element_stage, params, ball, profile, matching_budget))
         del ball  # nothing of it is held while the top sphere is built
-        fields.update(_sphere_stage(params, element_budget))
+        fields.update(_staged("sphere", _sphere_stage, params, element_budget))
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     budgets = {"element_budget": element_budget, "matching_budget": matching_budget}
     return SweepRecord(p, q, r, **fields, elapsed_ms=elapsed_ms, **budgets)
+
+
+def _staged(name: str, stage, *args):
+    """stage(*args); an internal error it raises names the stage."""
+    try:
+        return stage(*args)
+    except InternalConsistencyError as exc:
+        raise InternalConsistencyError(f"{name} stage: {exc}") from exc
 
 
 def _diagram_stage(dag) -> tuple:

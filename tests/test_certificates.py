@@ -1,5 +1,6 @@
 import hashlib
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -406,6 +407,53 @@ class TestSharedShapes:
             assert certificate_check(verdict.certificate, dags[own])
             assert not certificate_check(verdict.certificate, dags[other])
 
+    PLANS = ["layer_bounds", "route_order", "route_edges"]
+
+    def spy_plans(self, monkeypatch):
+        """Count the builds of each shape plan, by name."""
+        built = dict.fromkeys(self.PLANS, 0)
+        for name in self.PLANS:
+            build = vars(poset.DiagramShape)[name].func
+
+            def spy(shape, build=build, name=name):
+                built[name] += 1
+                return build(shape)
+
+            plan = cached_property(spy)
+            plan.__set_name__(poset.DiagramShape, name)
+            monkeypatch.setattr(poset.DiagramShape, name, plan)
+        return built
+
+    def test_one_shape_builds_its_plans_once(self, monkeypatch):
+        # route B, the profile, the check and the grade of two tuples of one
+        # untruncated shape read the same plans, and the search its layout
+        built = self.spy_plans(monkeypatch)
+        poset._diagram_shape.cache_clear()
+        a, b = GroundParams(5, 8, 4), GroundParams(6, 9, 4)
+        shapes, verdicts = [], []
+        for params in (a, b):
+            shapes.append(quotient_dag(params, Ball()).shape)
+            verdicts.append(certified_width(params, strict=True)[0])
+        assert shapes[0] is shapes[1]
+        assert [v.status for v in verdicts] == [CERTIFIED_STRICT] * 2
+        assert built == dict.fromkeys(self.PLANS, 1)
+        assert list(shapes[0].search_layouts) == [4]
+
+    def test_truncated_shapes_build_their_own(self, monkeypatch):
+        # two truncated tuples of one coordinate set: each uncached shape
+        # builds its own plans, equal to the other's
+        built = self.spy_plans(monkeypatch)
+        dags = [quotient_dag(GroundParams(2, q, 4), Ball()) for q in (4, 5)]
+        assert dags[0].coords == dags[1].coords and dags[0].shape is not dags[1].shape
+        for dag in dags:
+            target = layer_profile(dag).argmax[0]
+            assert certificate_search(dag, target).status == CERTIFIED
+            certificate_search(dag, target, strict=True)
+        assert built == dict.fromkeys(self.PLANS, 2)
+        for name in self.PLANS:
+            assert getattr(dags[0].shape, name) == getattr(dags[1].shape, name)
+            assert getattr(dags[0].shape, name) is not getattr(dags[1].shape, name)
+
 
 def certified_width_digest(n: int, modes=(False, True)) -> tuple[int, str]:
     """Hash every verdict with p, q <= n and 1 <= r <= min(p, q) in `modes`."""
@@ -447,6 +495,38 @@ def strict_status_digest(n: int) -> tuple[int, str]:
                     h.update(repr((p, q, r, t, verdict.status, cut)).encode())
                     count += 1
     return count, h.hexdigest()
+
+
+def route_b_digest(n: int) -> tuple[int, str]:
+    """Hash route B's (through, flows) on every ball with p, q <= n at every
+    radius up to p + q: the plain demand (the sizes), then the strict
+    demand (one more off the target height) at every target height."""
+    h = hashlib.sha256()
+    count = 0
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            for r in range(p + q + 1):
+                dag = quotient_dag(GroundParams(p, q, r), Ball())
+                sizes = dag.table.sizes
+                demands = [(None, sizes)] + [
+                    (t, {c: n + (dag.height_of[c] != t) for c, n in sizes.items()})
+                    for t in range(dag.top_height + 1)
+                ]
+                for t, demand in demands:
+                    through, flows = sublayer_chain_cover(dag, demand)
+                    h.update(repr((p, q, r, t, list(through.items()), flows)).encode())
+                    count += 1
+    return count, h.hexdigest()
+
+
+class TestRouteBDigest:
+    def test_covers_are_pinned(self):
+        # route B's cover is the strict search's start and the element
+        # min-flow's grid flow: any change to its greedy order moves this
+        assert route_b_digest(8) == (
+            5792,
+            "15e0cc6130053a885d8deeeb9aebff6b74b31c1a57dca58d96704a486c8c9087",
+        )
 
 
 class TestStrictStart:

@@ -439,6 +439,25 @@ class TestErrorsNameTheirTuple:
             sweep_range(1, 1)
 
 
+class TestErrorsNameTheirStage:
+    # (3, 4, 2) runs all three stages; past a budget of 1 the diagram stage alone
+    @pytest.mark.parametrize(
+        "stage,budget",
+        [("diagram", None), ("diagram", 1), ("element", None), ("sphere", None)],
+    )
+    def test_planted_raise(self, monkeypatch, stage, budget):
+        import ballwidth.sweep as sweep_module
+
+        def planted(*args):
+            raise InternalConsistencyError("planted disagreement")
+
+        monkeypatch.setattr(sweep_module, f"_{stage}_stage", planted)
+        budgets = {} if budget is None else {"element_budget": budget}
+        with pytest.raises(InternalConsistencyError) as err:
+            verify_instance(3, 4, 2, **budgets)
+        assert str(err.value) == f"at (3, 4, 2): {stage} stage: planted disagreement"
+
+
 class TestPlantedDisagreement:
     # (3, 4, 2) is VERIFIED_UNIQUE: width 13, one maximum antichain
     @pytest.fixture
